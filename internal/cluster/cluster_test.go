@@ -146,6 +146,13 @@ func exactPrefix(t *testing.T, steps []step, k int, formula string, holdsAt bool
 // determining prefixes, no duplicates, no semantic errors.
 func verifyVerdicts(t *testing.T, steps []step, latched []server.ServerFrame) error {
 	t.Helper()
+	return verifyVerdictsAt(t, steps, latched, 5)
+}
+
+// verifyVerdictsAt is verifyVerdicts for a script whose STABLE watch
+// latches at event stableAt.
+func verifyVerdictsAt(t *testing.T, steps []step, latched []server.ServerFrame, stableAt int) error {
+	t.Helper()
 	full := buildPrefix(t, steps, len(steps))
 	verdicts := make(map[int]server.ServerFrame)
 	for _, fr := range latched {
@@ -183,8 +190,8 @@ func verifyVerdicts(t *testing.T, steps []step, latched []server.ServerFrame) er
 	if !ok {
 		return fmt.Errorf("STABLE watch never fired")
 	}
-	if fr.Event != 5 {
-		return fmt.Errorf("STABLE fired at event %d, want 5", fr.Event)
+	if fr.Event != stableAt {
+		return fmt.Errorf("STABLE fired at event %d, want %d", fr.Event, stableAt)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -23,11 +24,28 @@ type wireMsg struct {
 	Epoch   int64           `json:"epoch,omitempty"`
 	Code    string          `json:"code,omitempty"`
 	Hello   json.RawMessage `json:"hello,omitempty"`
-	Frame   json.RawMessage `json:"frame,omitempty"`
 }
 
-// replDialog wraps a raw connection speaking the NDJSON replication
-// protocol: send writes one line, recv decodes the next reply.
+// replFrame encodes one binary repl-frame by hand, independently of the
+// node's encoder: FrameMagic, BinReplFrame, uvarint payload length, then
+// the payload — zigzag-varint epoch, uvarint key length, the key, and
+// one frame-log entry (an NDJSON line or FrameMagic + pir payload).
+func replFrame(key string, epoch int64, entry []byte) []byte {
+	p := binary.AppendVarint(nil, epoch)
+	p = binary.AppendUvarint(p, uint64(len(key)))
+	p = append(p, key...)
+	p = append(p, entry...)
+	return server.AppendBinaryFrame(nil, server.BinReplFrame, p)
+}
+
+// initEntry is the frame-log entry of one NDJSON init frame.
+func initEntry(seq int64) []byte {
+	return []byte(fmt.Sprintf(`{"type":"init","proc":1,"var":"x","value":1,"seq":%d}`, seq))
+}
+
+// replDialog wraps a raw connection speaking the replication protocol:
+// send writes one NDJSON control line, write raw bytes (binary
+// repl-frames), recv decodes the next reply.
 type replDialog struct {
 	t    *testing.T
 	conn net.Conn
@@ -57,6 +75,13 @@ func (d *replDialog) send(line string) {
 	}
 }
 
+func (d *replDialog) write(b []byte) {
+	d.t.Helper()
+	if _, err := d.conn.Write(b); err != nil {
+		d.t.Fatalf("write %q: %v", b, err)
+	}
+}
+
 func (d *replDialog) recv() wireMsg {
 	d.t.Helper()
 	if !d.sc.Scan() {
@@ -82,7 +107,7 @@ func TestReplEpochFencingWire(t *testing.T) {
 		d.send(fmt.Sprintf(`{"type":"repl-open","session":%q,"epoch":%d,"hello":{"type":"hello","processes":3,"resumable":true,"session":%q}}`, key, epoch, key))
 	}
 	frame := func(epoch, seq int64) {
-		d.send(fmt.Sprintf(`{"type":"repl-frame","session":%q,"epoch":%d,"frame":{"type":"init","proc":1,"var":"x","value":1,"seq":%d}}`, key, epoch, seq))
+		d.write(replFrame(key, epoch, initEntry(seq)))
 	}
 
 	open(5)

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"net"
 	"sync"
@@ -53,33 +54,49 @@ func fuzzCluster(f *testing.F) string {
 // hostile or buggy peer that authenticated as a cluster member. Seeds
 // cover the epoch-fencing edges: negative and overflowing epochs,
 // stale-epoch floods, handoff offers for unknown sessions and handoff
-// replays, frames before their open, and malformed JSON. The property
-// is the node never panics and never wedges: every iteration's
-// handshake must succeed, whatever the previous one sent.
+// replays, frames before their open, and malformed JSON; and the binary
+// repl-frame's own edges: a truncated envelope, a key running past the
+// payload, an unknown binary type, and malformed frame bodies. The
+// property is the node never panics and never wedges: every
+// iteration's handshake must succeed, whatever the previous one sent.
 func FuzzReplProtocol(f *testing.F) {
-	open := func(key string, epoch string) string {
-		return `{"type":"repl-open","session":"` + key + `","epoch":` + epoch +
-			`,"hello":{"type":"hello","processes":3,"resumable":true,"session":"` + key + `"}}` + "\n"
+	open := func(key string, epoch string) []byte {
+		return []byte(`{"type":"repl-open","session":"` + key + `","epoch":` + epoch +
+			`,"hello":{"type":"hello","processes":3,"resumable":true,"session":"` + key + `"}}` + "\n")
 	}
-	frame := func(key, epoch, seq string) string {
-		return `{"type":"repl-frame","session":"` + key + `","epoch":` + epoch +
-			`,"frame":{"type":"init","proc":1,"var":"x","value":1,"seq":` + seq + `}}` + "\n"
+	frame := func(key string, epoch, seq int64) []byte {
+		return replFrame(key, epoch, initEntry(seq))
 	}
-	f.Add([]byte(open("k", "-1")))
-	f.Add([]byte(open("k", "-9223372036854775808")))
-	f.Add([]byte(open("k", "9223372036854775807") + frame("k", "9223372036854775807", "1")))
-	f.Add([]byte(open("k", "5") + frame("k", "5", "1") + open("k", "7") + frame("k", "5", "2")))
-	f.Add([]byte(open("k", "9") + open("k", "8") + open("k", "7") + open("k", "6") + open("k", "5"))) // stale flood
-	f.Add([]byte(frame("k", "1", "1")))                                                               // frame before open
-	f.Add([]byte(open("k", "2") + `{"type":"repl-handoff","session":"k","epoch":3,"seq":0}` + "\n" +
-		`{"type":"repl-handoff","session":"k","epoch":3,"seq":0}` + "\n")) // handoff replay
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	const maxInt64 = 1<<63 - 1
+	f.Add(open("k", "-1"))
+	f.Add(open("k", "-9223372036854775808"))
+	f.Add(cat(open("k", "9223372036854775807"), frame("k", maxInt64, 1)))
+	f.Add(cat(open("k", "5"), frame("k", 5, 1), open("k", "7"), frame("k", 5, 2)))
+	f.Add(cat(open("k", "9"), open("k", "8"), open("k", "7"), open("k", "6"), open("k", "5"))) // stale flood
+	f.Add(frame("k", 1, 1))                                                                    // frame before open
+	f.Add(cat(open("k", "2"), []byte(`{"type":"repl-handoff","session":"k","epoch":3,"seq":0}`+"\n"+
+		`{"type":"repl-handoff","session":"k","epoch":3,"seq":0}`+"\n"))) // handoff replay
 	f.Add([]byte(`{"type":"repl-handoff","session":"ghost","epoch":1,"seq":5}` + "\n"))
 	f.Add([]byte(`{"type":"repl-hello","from":"again"}` + "\n")) // hello mid-stream
 	f.Add([]byte(`{"type":"repl-ack","session":"k","seq":1}` + "\n"))
 	f.Add([]byte(`{"type":"repl-open","session":"","epoch":1}` + "\n"))
-	f.Add([]byte(open("k", "1") + frame("k", "1", "-1") + frame("k", "1", "9223372036854775807")))
+	f.Add(cat(open("k", "1"), frame("k", 1, -1), frame("k", 1, maxInt64)))
 	f.Add([]byte("not json\n"))
 	f.Add([]byte{0x00, 0xff, '\n'})
+	// The old NDJSON repl-frame is a protocol error now.
+	f.Add(cat(open("k", "1"), []byte(`{"type":"repl-frame","session":"k","epoch":1,"frame":{"type":"init","proc":1,"var":"x","value":1,"seq":1}}`+"\n")))
+	good := frame("k", 1, 1)
+	f.Add(cat(open("k", "1"), good[:len(good)-7]))                                                          // truncated envelope
+	f.Add(cat(open("k", "1"), server.AppendBinaryFrame(nil, server.BinReplFrame, []byte{0x02, 0x7f, 'k'}))) // key past the payload
+	f.Add(cat(open("k", "1"), server.AppendBinaryFrame(nil, 0x7f, []byte{0x02, 0x01, 'k'})))                // unknown binary type
+	f.Add(cat(open("k", "1"), server.AppendBinaryFrame(nil, server.BinBatch, []byte{0x01, 0x00})))          // client batch on a repl link
+	// Bad bodies: a batch entry whose name reference dangles (the entry
+	// must declare every name it uses), trailing bytes after a batch, and
+	// an NDJSON entry of a non-ingest frame type.
+	f.Add(cat(open("k", "1"), replFrame("k", 1, []byte{server.FrameMagic, 0x01, 0x01, 1 << 2, 0x01, 0x00, 0x02})))
+	f.Add(cat(open("k", "1"), replFrame("k", 1, []byte{server.FrameMagic, 0x01, 0x00, 0xff})))
+	f.Add(cat(open("k", "1"), replFrame("k", 1, []byte(`{"type":"snapshot","seq":1,"formula":"EF(x@P1 == 1)"}`))))
 	addr := fuzzCluster(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -127,7 +127,7 @@ func (n *Node) handoffSession(ctx context.Context, key string) error {
 
 	n.mu.Lock()
 	for n.hosted[key] == hs && hs.handoff == ho && ctx.Err() == nil &&
-		l.racked[key] < int64(len(hs.frames)) {
+		l.racked[key] < int64(hs.log.Len()) {
 		n.cond.Wait()
 	}
 	if n.hosted[key] != hs || hs.handoff != ho {
@@ -146,7 +146,7 @@ func (n *Node) handoffSession(ctx context.Context, key string) error {
 		n.mu.Unlock()
 		return ctx.Err()
 	}
-	l.control = append(l.control, replMsg{Type: msgReplHandoff, Session: key, Epoch: epoch, Seq: int64(len(hs.frames))})
+	l.control = append(l.control, replMsg{Type: msgReplHandoff, Session: key, Epoch: epoch, Seq: int64(hs.log.Len())})
 	n.cond.Broadcast()
 	n.mu.Unlock()
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/pir"
 	"repro/internal/server"
 )
 
@@ -47,16 +48,16 @@ type NodeConfig struct {
 
 // hostedSession is the replication state of one keyed session this node
 // hosts: the keyed hello plus every accepted sequenced frame from seq 1,
-// in order — frames[i] carries seq i+1. This is deliberately the full
-// frame log, not the server's bounded metadata journal: a replica
-// rebuilds the session by replaying it through the same deterministic
-// monitor pipeline, which is what makes post-failover verdicts
-// bit-identical. The log lives for the session's lifetime and is
-// released once every replica has acknowledged its bye.
+// in order, encoded once at accept time (see frameLog). This is
+// deliberately the full frame log, not the server's bounded metadata
+// journal: a replica rebuilds the session by replaying it through the
+// same deterministic monitor pipeline, which is what makes post-failover
+// verdicts bit-identical. The log lives for the session's lifetime and
+// is released once every replica has acknowledged its bye.
 type hostedSession struct {
 	key      string
 	hello    server.ClientFrame
-	frames   []server.ClientFrame
+	log      frameLog
 	replicas []string   // ring successors holding copies (self excluded)
 	epoch    int64      // this incarnation's fencing epoch, minted at registration
 	mode     Durability // resolved ack-gate mode; travels in hello.Durability
@@ -70,9 +71,9 @@ type hostedSession struct {
 // replicaLog is a foreign session's replicated state on this node,
 // fenced by the incarnation epoch its feeder announced.
 type replicaLog struct {
-	hello  server.ClientFrame
-	frames []server.ClientFrame
-	epoch  int64
+	hello server.ClientFrame
+	log   frameLog
+	epoch int64
 	// feeder is the inbound connection currently feeding this log (nil
 	// once it drops) and from its announced ring identity. Only the
 	// feeder's frames append — any other connection's frames are acked
@@ -115,6 +116,9 @@ type Node struct {
 	inbound    map[net.Conn]struct{}    // live inbound replication conns, closed on Shutdown
 	draining   bool                     // Drain started: no new placements, no promotions
 	closed     bool
+	// entryBuf and entryVT are onAccept's encode scratch.
+	entryBuf []byte
+	entryVT  pir.VarTable
 }
 
 // New builds a cluster node: it installs the cluster hooks into srvCfg
@@ -315,7 +319,7 @@ func (n *Node) onOpen(sess *server.Session, cfg server.SessionConfig) {
 	n.mu.Lock()
 	epoch := n.mintEpochLocked(cfg.ID, 0)
 	n.mu.Unlock()
-	n.registerHosted(cfg.ID, hello, nil, epoch, mode)
+	n.registerHosted(cfg.ID, hello, frameLog{}, false, epoch, mode)
 }
 
 // registerHosted installs (or replaces) the hosted replication state for
@@ -323,18 +327,16 @@ func (n *Node) onOpen(sess *server.Session, cfg server.SessionConfig) {
 // replicas exist. Any replica log or stale per-link cursors left by a
 // previous incarnation of the key are cleared: a reused key must start
 // from a clean slate, or an old racked watermark could open the ack gate
-// for frames the replicas never saw.
-func (n *Node) registerHosted(key string, hello server.ClientFrame, backlog []server.ClientFrame, epoch int64, mode Durability) {
+// for frames the replicas never saw. bye records that the backlog ends
+// in a bye frame.
+func (n *Node) registerHosted(key string, hello server.ClientFrame, backlog frameLog, bye bool, epoch int64, mode Durability) {
 	replicas := make([]string, 0, n.r)
 	for _, s := range n.ring.Successors(key, n.r) {
 		if s != n.self {
 			replicas = append(replicas, s)
 		}
 	}
-	hs := &hostedSession{key: key, hello: hello, frames: backlog, replicas: replicas, epoch: epoch, mode: mode}
-	if len(backlog) > 0 && backlog[len(backlog)-1].Type == server.FrameBye {
-		hs.bye = true
-	}
+	hs := &hostedSession{key: key, hello: hello, log: backlog, replicas: replicas, epoch: epoch, mode: mode, bye: bye}
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
@@ -358,27 +360,24 @@ func (n *Node) registerHosted(key string, hello server.ClientFrame, backlog []se
 	n.updateLagLocked()
 	n.cond.Broadcast()
 	n.mu.Unlock()
-	n.log("cluster: hosting %s epoch %d (%s, replicas %v, backlog %d)", key, epoch, mode, replicas, len(backlog))
+	n.log("cluster: hosting %s epoch %d (%s, replicas %v, backlog %d)", key, epoch, mode, replicas, backlog.Len())
 }
 
-// onAccept appends one accepted sequenced frame to the session's log and
-// wakes the links. Frames arrive in seq order from the single attached
-// transport; a frame re-accepted after a promotion race is deduped by
-// seq.
+// onAccept encodes one accepted sequenced frame into the session's log
+// and wakes the links. Frames arrive in seq order from the single
+// attached transport; a frame re-accepted after a promotion race is
+// deduped by seq. The encoding happens here, before the session applies
+// (and recycles) a pooled batch, and it is the only encoding the frame
+// ever gets: the links ship the logged bytes as they are.
 func (n *Node) onAccept(sess *server.Session, f server.ClientFrame) {
 	n.mu.Lock()
 	hs := n.hosted[sess.ID()]
-	if hs == nil || f.Seq <= int64(len(hs.frames)) {
+	if hs == nil || f.Seq <= int64(hs.log.Len()) {
 		n.mu.Unlock()
 		return // unkeyed session, or a duplicate past the log's high water
 	}
-	if f.Batch != nil {
-		// Binary-decoded batches are pooled and recycled once the session
-		// applies them; the replication log outlives that, so keep a
-		// private copy.
-		f.Batch = f.Batch.Clone()
-	}
-	hs.frames = append(hs.frames, f)
+	n.entryBuf = appendEntry(n.entryBuf[:0], f, &n.entryVT)
+	hs.log.add(n.entryBuf)
 	if f.Type == server.FrameBye {
 		hs.bye = true
 	}
@@ -393,7 +392,7 @@ func (n *Node) onAccept(sess *server.Session, f server.ClientFrame) {
 func (n *Node) updateLagLocked() {
 	var lag int64
 	for _, hs := range n.hosted {
-		if d := int64(len(hs.frames)) - hs.durable; d > 0 {
+		if d := int64(hs.log.Len()) - hs.durable; d > 0 {
 			lag += d
 		}
 	}
@@ -500,15 +499,15 @@ func (n *Node) noteAcks(key string) {
 		return
 	}
 	d, gated := n.durableLocked(hs)
-	if !gated || d > int64(len(hs.frames)) {
-		d = int64(len(hs.frames))
+	if !gated || d > int64(hs.log.Len()) {
+		d = int64(hs.log.Len())
 	}
 	var advance int64
 	if d > hs.durable {
 		hs.durable = d
 		advance = d
 	}
-	if hs.bye && hs.durable == int64(len(hs.frames)) {
+	if hs.bye && hs.durable == int64(hs.log.Len()) {
 		// Every replica holds the full log through the bye; the hosted
 		// state has done its job.
 		delete(n.hosted, hs.key)
@@ -621,8 +620,7 @@ func (n *Node) recoverSession(key string) (*server.Session, error) {
 	done := make(chan struct{})
 	n.promoting[key] = done
 	epoch := n.mintEpochLocked(key, rl.epoch)
-	hello := rl.hello
-	frames := append([]server.ClientFrame(nil), rl.frames...)
+	hello, held, heldEpoch := rl.hello, rl.log.snapshot(), rl.epoch
 	n.mu.Unlock()
 
 	defer func() {
@@ -633,7 +631,12 @@ func (n *Node) recoverSession(key string) (*server.Session, error) {
 	}()
 
 	mode, _ := ParseDurability(hello.Durability)
-	n.log("cluster: promoting %s from replica log (%d frames, epoch %d → %d)", key, len(frames), rl.epoch, epoch)
+	n.log("cluster: promoting %s from replica log (%d frames, epoch %d → %d)", key, held.Len(), heldEpoch, epoch)
+	frames, err := held.decode()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: promote %s: %v", key, err)
+	}
+	bye := endsInBye(frames)
 	sess, err := n.srv.OpenRecovered(hello, frames)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: promote %s: %v", key, err)
@@ -641,7 +644,13 @@ func (n *Node) recoverSession(key string) (*server.Session, error) {
 	n.met.failovers.Inc()
 	// This node is the session's host now: replicate the whole backlog to
 	// the remaining successors under the new epoch (replicas fence their
-	// stale copies and re-ingest from seq 1).
-	n.registerHosted(key, hello, frames, epoch, mode)
+	// stale copies and re-ingest from seq 1). The logged bytes carry over
+	// unchanged.
+	n.registerHosted(key, hello, held, bye, epoch, mode)
 	return sess, nil
+}
+
+// endsInBye reports whether a decoded frame log ends in a bye frame.
+func endsInBye(frames []server.ClientFrame) bool {
+	return len(frames) > 0 && frames[len(frames)-1].Type == server.FrameBye
 }

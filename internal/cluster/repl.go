@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/pir"
 	"repro/internal/server"
 )
 
@@ -38,6 +39,7 @@ type peerLink struct {
 	// and entries for sessions not yet opened on this connection are
 	// retained for a later batch.
 	control []replMsg
+	wbuf    []byte // collectLocked's batch, reused across writes
 }
 
 // linkSeed derives the deterministic jitter seed of one directed
@@ -251,14 +253,19 @@ func (l *peerLink) abortControlLocked() {
 	}
 }
 
+// maxBatch bounds the replication messages one link write carries, and
+// the messages a replica answers before it writes its coalesced replies.
+const maxBatch = 256
+
 // collectLocked gathers the next batch of repl messages for this peer:
 // an open for every hosted session not yet announced on this connection,
 // then its unsent frames in seq order, bounded per batch so one busy
 // session cannot monopolize the wire buffer; finally any queued control
-// messages whose session is open on this connection. Caller holds n.mu.
+// messages whose session is open on this connection. The batch reuses
+// the link's write buffer, so it is valid until the next call. Caller
+// holds n.mu.
 func (l *peerLink) collectLocked() []byte {
-	const maxBatch = 256
-	var batch []byte
+	batch := l.wbuf[:0]
 	msgs := 0
 	for key, hs := range l.node.hosted {
 		if !hs.replicatesTo(l.peer) {
@@ -270,10 +277,9 @@ func (l *peerLink) collectLocked() []byte {
 			batch = append(batch, appendReplMsg(replMsg{Type: msgReplOpen, Session: key, Epoch: hs.epoch, Hello: &hello})...)
 			msgs++
 		}
-		for l.sent[key] < len(hs.frames) && msgs < maxBatch {
-			f := hs.frames[l.sent[key]]
+		for l.sent[key] < hs.log.Len() && msgs < maxBatch {
+			batch = appendReplFrame(batch, key, hs.epoch, hs.log.entries[l.sent[key]])
 			l.sent[key]++
-			batch = append(batch, appendReplMsg(replMsg{Type: msgReplFrame, Session: key, Epoch: hs.epoch, Frame: &f})...)
 			l.node.met.framesSent.Inc()
 			msgs++
 		}
@@ -296,6 +302,7 @@ func (l *peerLink) collectLocked() []byte {
 			l.control = nil
 		}
 	}
+	l.wbuf = batch
 	return batch
 }
 
@@ -366,10 +373,15 @@ loop:
 
 // serveRepl is the replica side of a replication link: it runs on the
 // takeover connection's goroutine, appends in-order frames to the
-// per-session replica logs, and acks every message with the log's
-// contiguous high-water seq and epoch. Out-of-order or duplicate frames
-// are acknowledged without being applied — the resync protocol relies on
+// per-session replica logs, and acks with the log's contiguous
+// high-water seq and epoch. Out-of-order or duplicate frames are
+// acknowledged without being applied — the resync protocol relies on
 // redelivery being idempotent.
+//
+// Replies are coalesced (replyBuf): they are written when the scanner
+// has no buffered bytes left — the sender's writes are drained — or
+// after maxBatch messages, whichever comes first, with one ack per
+// session per write.
 //
 // Epoch fencing happens here. An open carrying a newer epoch than the
 // held log truncates it (the old incarnation's frames are garbage now)
@@ -407,111 +419,197 @@ func (n *Node) serveRepl(from string, conn net.Conn) {
 		return
 	}
 	sc := server.NewFrameScanner(conn)
-	for sc.Scan() {
-		m, err := decodeReplMsg(sc.Bytes())
-		if err != nil {
-			return
-		}
-		var reply replMsg
-		switch m.Type {
-		case msgReplOpen:
-			if m.Hello == nil || m.Session == "" {
-				return
-			}
-			// A newer incarnation opening here is also the authoritative
-			// word that any hosted copy of the key this node still runs
-			// (an ex-owner that missed its own demotion) is stale.
-			n.superseded(m.Session, m.Epoch, from, "newer incarnation replicated here")
-			n.mu.Lock()
-			rl := n.replicated[m.Session]
-			if rl == nil {
-				if held := n.epochs[m.Session]; held > m.Epoch {
-					// No log, but this node has seen a newer incarnation of
-					// the key (it may host it right now): a zombie ex-owner
-					// re-opening at its old epoch must not plant a stale log
-					// here. Reject instead of creating one.
-					n.met.staleEpochs.Inc()
-					reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
-					n.mu.Unlock()
-					n.log("cluster: rejected stale open of %s from %s (epoch %d < held %d)", m.Session, from, m.Epoch, held)
-					break
-				}
-				rl = &replicaLog{hello: *m.Hello, epoch: m.Epoch}
-				n.replicated[m.Session] = rl
-				n.met.sessionsReplicated.Set(int64(len(n.replicated)))
-			}
-			switch {
-			case m.Epoch < rl.epoch:
-				n.met.staleEpochs.Inc()
-				reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: rl.epoch}
-				n.mu.Unlock()
-				n.log("cluster: rejected stale open of %s from %s (epoch %d < %d)", m.Session, from, m.Epoch, rl.epoch)
-			default:
-				if m.Epoch > rl.epoch {
-					// Fence: the held log belongs to a dead incarnation.
-					n.met.fences.Inc()
-					n.log("cluster: fencing %s (epoch %d → %d, %d frames truncated)", m.Session, rl.epoch, m.Epoch, len(rl.frames))
-					rl.frames = nil
-					rl.hello = *m.Hello
-					rl.epoch = m.Epoch
-				}
-				rl.feeder = conn
-				rl.from = from
-				n.observeEpochLocked(m.Session, m.Epoch)
-				reply = replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.frames)), Epoch: rl.epoch}
-				n.mu.Unlock()
-			}
-		case msgReplFrame:
-			if m.Frame == nil || m.Session == "" {
-				return
-			}
-			n.mu.Lock()
-			rl := n.replicated[m.Session]
-			if rl == nil {
-				// No log: either this node promoted the key out of its
-				// replica set (failover or handoff adoption deleted the log
-				// while the old feeder was still streaming) — tell the
-				// sender it is fenced — or a frame genuinely preceded its
-				// open, which is a protocol error worth dropping the link.
-				held := n.epochs[m.Session]
-				n.mu.Unlock()
-				if held > m.Epoch {
-					n.met.staleEpochs.Inc()
-					reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
-					break
-				}
-				return
-			}
-			switch {
-			case m.Epoch < rl.epoch:
-				n.met.staleEpochs.Inc()
-				reply = replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: rl.epoch}
-			case rl.feeder != conn:
-				// Not the current feeder: acknowledge without applying, so
-				// a superseded connection drains harmlessly instead of
-				// forking the log.
-				reply = replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.frames)), Epoch: rl.epoch}
-			default:
-				if m.Frame.Seq == int64(len(rl.frames))+1 {
-					rl.frames = append(rl.frames, *m.Frame)
-					n.met.framesRecv.Inc()
-				}
-				reply = replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(len(rl.frames)), Epoch: rl.epoch}
-			}
-			n.mu.Unlock()
-		case msgReplHandoff:
-			if m.Session == "" {
-				return
-			}
-			reply = n.adoptHandoff(from, conn, m)
-		default:
-			return
+	var (
+		vt      pir.VarTable // entry validation scratch
+		replies replyBuf
+	)
+	flush := func() bool {
+		out := replies.take()
+		if len(out) == 0 {
+			return true
 		}
 		conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-		if _, err := conn.Write(appendReplMsg(reply)); err != nil {
+		_, err := conn.Write(out)
+		return err == nil
+	}
+	// A protocol error ends the link, but the replies to the messages
+	// before it still go out.
+	defer flush()
+	for sc.Scan() {
+		reply, ok := n.replicaStep(from, conn, sc, &vt)
+		if !ok {
 			return
 		}
+		replies.add(reply)
+		if sc.Buffered() == 0 || replies.msgs >= maxBatch {
+			if !flush() {
+				return
+			}
+		}
 	}
+}
+
+// replicaStep handles one replication message on the replica side and
+// returns its reply; ok=false is a protocol error that drops the link.
+func (n *Node) replicaStep(from string, conn net.Conn, sc *server.FrameScanner, vt *pir.VarTable) (reply replMsg, ok bool) {
+	if sc.Binary() {
+		if sc.BinaryType() != server.BinReplFrame {
+			return replMsg{}, false
+		}
+		return n.replicaFrame(conn, sc.Bytes(), vt)
+	}
+	m, err := decodeReplMsg(sc.Bytes())
+	if err != nil || m.Session == "" {
+		return replMsg{}, false
+	}
+	switch m.Type {
+	case msgReplOpen:
+		if m.Hello == nil {
+			return replMsg{}, false
+		}
+		return n.replicaOpen(from, conn, m), true
+	case msgReplHandoff:
+		return n.adoptHandoff(from, conn, m), true
+	}
+	return replMsg{}, false
+}
+
+// replicaOpen begins, resyncs, or fences the replica log named by a
+// repl-open.
+func (n *Node) replicaOpen(from string, conn net.Conn, m replMsg) replMsg {
+	// A newer incarnation opening here is also the authoritative word
+	// that any hosted copy of the key this node still runs (an ex-owner
+	// that missed its own demotion) is stale.
+	n.superseded(m.Session, m.Epoch, from, "newer incarnation replicated here")
+	n.mu.Lock()
+	rl := n.replicated[m.Session]
+	if rl == nil {
+		if held := n.epochs[m.Session]; held > m.Epoch {
+			// No log, but this node has seen a newer incarnation of the
+			// key (it may host it right now): a zombie ex-owner re-opening
+			// at its old epoch must not plant a stale log here. Reject
+			// instead of creating one.
+			n.met.staleEpochs.Inc()
+			n.mu.Unlock()
+			n.log("cluster: rejected stale open of %s from %s (epoch %d < held %d)", m.Session, from, m.Epoch, held)
+			return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
+		}
+		rl = &replicaLog{hello: *m.Hello, epoch: m.Epoch}
+		n.replicated[m.Session] = rl
+		n.met.sessionsReplicated.Set(int64(len(n.replicated)))
+	}
+	if m.Epoch < rl.epoch {
+		n.met.staleEpochs.Inc()
+		held := rl.epoch
+		n.mu.Unlock()
+		n.log("cluster: rejected stale open of %s from %s (epoch %d < %d)", m.Session, from, m.Epoch, held)
+		return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectStaleEpoch, Epoch: held}
+	}
+	if m.Epoch > rl.epoch {
+		// Fence: the held log belongs to a dead incarnation.
+		n.met.fences.Inc()
+		n.log("cluster: fencing %s (epoch %d → %d, %d frames truncated)", m.Session, rl.epoch, m.Epoch, rl.log.Len())
+		rl.log = frameLog{}
+		rl.hello = *m.Hello
+		rl.epoch = m.Epoch
+	}
+	rl.feeder = conn
+	rl.from = from
+	n.observeEpochLocked(m.Session, m.Epoch)
+	reply := replMsg{Type: msgReplAck, Session: m.Session, Seq: int64(rl.log.Len()), Epoch: rl.epoch}
+	n.mu.Unlock()
+	return reply
+}
+
+// replicaFrame appends one binary repl-frame to its replica log. The
+// entry is validated in full first — a malformed body drops the link
+// before the log can advance — and then stored as the bytes received.
+func (n *Node) replicaFrame(conn net.Conn, p []byte, vt *pir.VarTable) (replMsg, bool) {
+	key, epoch, entry, err := decodeReplFrame(p)
+	if err != nil {
+		return replMsg{}, false
+	}
+	seq, err := entrySeq(entry, vt)
+	if err != nil {
+		n.log("cluster: refused malformed replicated frame of %s: %v", key, err)
+		return replMsg{}, false
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	rl := n.replicated[key]
+	if rl == nil {
+		// No log: either this node promoted the key out of its replica set
+		// (failover or handoff adoption deleted the log while the old
+		// feeder was still streaming) — tell the sender it is fenced — or
+		// a frame genuinely preceded its open, which is a protocol error
+		// worth dropping the link.
+		if held := n.epochs[key]; held > epoch {
+			n.met.staleEpochs.Inc()
+			return replMsg{Type: msgReplReject, Session: key, Code: rejectStaleEpoch, Epoch: held}, true
+		}
+		return replMsg{}, false
+	}
+	switch {
+	case epoch < rl.epoch:
+		n.met.staleEpochs.Inc()
+		return replMsg{Type: msgReplReject, Session: key, Code: rejectStaleEpoch, Epoch: rl.epoch}, true
+	case rl.feeder != conn:
+		// Not the current feeder: acknowledge without applying, so a
+		// superseded connection drains harmlessly instead of forking the
+		// log.
+	case seq == int64(rl.log.Len())+1:
+		rl.log.add(entry)
+		n.met.framesRecv.Inc()
+	}
+	return replMsg{Type: msgReplAck, Session: key, Seq: int64(rl.log.Len()), Epoch: rl.epoch}, true
+}
+
+// replyBuf coalesces the replica's replies between writes. Acks collapse
+// to the latest per session — each carries the session's full high-water
+// mark, so the latest subsumes the rest. Any other reply first flushes
+// the acks queued before it, so a reject or handoff-ack is never
+// reordered ahead of them.
+type replyBuf struct {
+	out  []byte
+	acks []replMsg
+	idx  map[string]int // session → position in acks
+	msgs int            // messages answered since the last take
+}
+
+func (r *replyBuf) add(m replMsg) {
+	r.msgs++
+	if m.Type != msgReplAck {
+		r.flushAcks()
+		r.out = append(r.out, appendReplMsg(m)...)
+		return
+	}
+	if i, ok := r.idx[m.Session]; ok {
+		r.acks[i] = m
+		return
+	}
+	if r.idx == nil {
+		r.idx = make(map[string]int)
+	}
+	r.idx[m.Session] = len(r.acks)
+	r.acks = append(r.acks, m)
+}
+
+func (r *replyBuf) flushAcks() {
+	for _, a := range r.acks {
+		r.out = append(r.out, appendReplMsg(a)...)
+	}
+	r.acks = r.acks[:0]
+	clear(r.idx)
+}
+
+// take returns every queued reply in order and empties the buffer. The
+// returned bytes are valid until the next add.
+func (r *replyBuf) take() []byte {
+	r.flushAcks()
+	out := r.out
+	r.out = r.out[:0]
+	r.msgs = 0
+	return out
 }
 
 // adoptHandoff is the replica side of a drain transfer: validate that
@@ -528,7 +626,7 @@ func (n *Node) adoptHandoff(from string, conn net.Conn, m replMsg) replMsg {
 		held = rl.epoch
 	}
 	if rl == nil || rl.feeder != conn || m.Epoch <= rl.epoch ||
-		int64(len(rl.frames)) != m.Seq || n.draining || n.closed {
+		int64(rl.log.Len()) != m.Seq || n.draining || n.closed {
 		n.mu.Unlock()
 		return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectHandoffMismatch, Epoch: held}
 	}
@@ -542,8 +640,7 @@ func (n *Node) adoptHandoff(from string, conn net.Conn, m replMsg) replMsg {
 	rl.feeder = nil
 	rl.from = ""
 	n.observeEpochLocked(m.Session, m.Epoch)
-	hello := rl.hello
-	frames := append([]server.ClientFrame(nil), rl.frames...)
+	hello, backlog := rl.hello, rl.log.snapshot()
 	n.mu.Unlock()
 	defer func() {
 		n.mu.Lock()
@@ -553,11 +650,15 @@ func (n *Node) adoptHandoff(from string, conn net.Conn, m replMsg) replMsg {
 	}()
 
 	mode, _ := ParseDurability(hello.Durability)
-	n.log("cluster: adopting %s from draining %s (%d frames, epoch %d)", m.Session, from, len(frames), m.Epoch)
-	if _, err := n.srv.OpenRecovered(hello, frames); err != nil {
+	n.log("cluster: adopting %s from draining %s (%d frames, epoch %d)", m.Session, from, backlog.Len(), m.Epoch)
+	frames, err := backlog.decode()
+	if err == nil {
+		_, err = n.srv.OpenRecovered(hello, frames)
+	}
+	if err != nil {
 		n.log("cluster: handoff adoption of %s failed: %v", m.Session, err)
 		return replMsg{Type: msgReplReject, Session: m.Session, Code: rejectHandoffFailed, Epoch: m.Epoch}
 	}
-	n.registerHosted(m.Session, hello, frames, m.Epoch, mode)
+	n.registerHosted(m.Session, hello, backlog, endsInBye(frames), m.Epoch, mode)
 	return replMsg{Type: msgReplHandoffAck, Session: m.Session, Epoch: m.Epoch}
 }

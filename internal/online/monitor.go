@@ -45,9 +45,12 @@ type Monitor struct {
 	// state k of process i (nil for k = 0: started at -∞).
 	stateClocks [][]vclock.VC
 
+	// Message ids are dense: Send hands out 1..nextMsg. sends holds only
+	// the messages still in flight, so a bounded monitor's state does not
+	// grow with the messages it has seen; an id in that range missing
+	// from sends was already received.
 	nextMsg  int
 	sends    map[int]sendInfo
-	received map[int]bool
 	inFlight int
 
 	// Trace replay for Snapshot. Never populated in bounded mode.
@@ -92,7 +95,6 @@ func NewMonitor(n int) *Monitor {
 		initVals:    make([]map[string]int, n),
 		stateClocks: make([][]vclock.VC, n),
 		sends:       make(map[int]sendInfo),
-		received:    make(map[int]bool),
 	}
 	for i := 0; i < n; i++ {
 		m.clocks[i] = vclock.New(n)
@@ -228,16 +230,16 @@ func (m *Monitor) Receive(proc int, id int, sets map[string]int) error {
 	m.checkProc(proc)
 	s, ok := m.sends[id]
 	if !ok {
+		if id > 0 && id <= m.nextMsg {
+			return fmt.Errorf("online: message %d received twice", id)
+		}
 		return fmt.Errorf("online: receive of unknown message %d", id)
-	}
-	if m.received[id] {
-		return fmt.Errorf("online: message %d received twice", id)
 	}
 	if s.proc == proc {
 		return fmt.Errorf("online: message %d received by its sender", id)
 	}
 	m.clocks[proc].MergeInto(s.clock)
-	m.received[id] = true
+	delete(m.sends, id)
 	m.inFlight--
 	m.step(proc, computation.Receive, id, sets)
 	return nil

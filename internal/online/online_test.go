@@ -309,3 +309,34 @@ func ExampleMonitor() {
 	// false
 	// true <1 1>
 }
+
+// TestMonitorForgetsReceivedSends: a received message's send clock is
+// released, so a bounded monitor's state does not grow with the number
+// of messages it has seen, while every receive error stays typed.
+func TestMonitorForgetsReceivedSends(t *testing.T) {
+	m := NewBoundedMonitor(2)
+	var last int
+	for i := 0; i < 1000; i++ {
+		last = m.Send(0, nil)
+		if err := m.Receive(1, last, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.sends) != 0 || m.InFlight() != 0 {
+		t.Fatalf("%d send clocks retained, %d in flight; want 0", len(m.sends), m.InFlight())
+	}
+	for _, tc := range []struct {
+		id   int
+		want string
+	}{
+		{last, fmt.Sprintf("online: message %d received twice", last)},
+		{1, "online: message 1 received twice"},
+		{0, "online: receive of unknown message 0"},
+		{last + 1, fmt.Sprintf("online: receive of unknown message %d", last+1)},
+		{-3, "online: receive of unknown message -3"},
+	} {
+		if err := m.Receive(1, tc.id, nil); err == nil || err.Error() != tc.want {
+			t.Errorf("Receive(%d) = %v, want %q", tc.id, err, tc.want)
+		}
+	}
+}

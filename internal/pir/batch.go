@@ -4,16 +4,19 @@
 // same shape the bitset lowering wants, so the server's hot path
 // decodes bytes straight into the form the monitor consumes and skips
 // per-event JSON decoding entirely. Batches travel either as a "batch"
-// NDJSON frame (JSON column encoding, used by cluster replication and
-// recovery replay) or as the binary payload of a length-prefixed batch
-// frame (see the server package for framing and negotiation).
+// NDJSON frame (JSON column encoding, for NDJSON-only clients) or as the
+// binary payload of a length-prefixed batch frame (see the server
+// package for framing and negotiation). Cluster replication and
+// recovery replay use the binary payload too, never the JSON columns.
 //
-// The binary payload interns variable names in a per-connection
-// VarTable: a name is declared once with an explicit index and
-// referenced by index afterwards, so steady-state event encoding
-// carries no strings at all. Declarations carry their index explicitly
-// so re-decoding a duplicated frame (at-least-once redelivery through
-// a flaky link) is idempotent on the table.
+// The binary payload interns variable names in a VarTable: a name is
+// declared once with an explicit index and referenced by index
+// afterwards, so steady-state event encoding carries no strings at all.
+// Ingest connections keep one table per connection. The cluster frame
+// log resets the table for every frame, so each logged payload declares
+// every name it uses and decodes on its own. Declarations carry their
+// index explicitly so re-decoding a duplicated frame (at-least-once
+// redelivery through a flaky link) is idempotent on the table.
 package pir
 
 import (
@@ -42,7 +45,7 @@ const (
 )
 
 // VarSet is one variable assignment riding on an event. The short JSON
-// keys keep the NDJSON batch encoding (cluster replication) compact.
+// keys keep the NDJSON batch encoding compact.
 type VarSet struct {
 	Name string `json:"n"`
 	Val  int    `json:"v"`
@@ -61,9 +64,8 @@ type Batch struct {
 	Sets   []VarSet `json:"sets,omitempty"`
 
 	// pooled marks batches handed out by GetBatch; only those return to
-	// the pool on Recycle, so JSON-decoded and Cloned batches (which the
-	// cluster retains in frame logs) can never be recycled under a
-	// reader.
+	// the pool on Recycle, so a JSON-decoded or caller-built batch can
+	// never be recycled under its owner.
 	pooled bool
 }
 
@@ -78,8 +80,8 @@ func GetBatch() *Batch {
 }
 
 // Recycle resets b and returns it to the pool. It is a no-op on
-// batches that did not come from GetBatch (JSON-decoded, Cloned, or
-// zero-value), so calling it unconditionally after apply is safe.
+// batches that did not come from GetBatch (JSON-decoded, caller-built,
+// or zero-value), so calling it unconditionally after apply is safe.
 func (b *Batch) Recycle() {
 	if b == nil || !b.pooled {
 		return
@@ -96,22 +98,6 @@ func (b *Batch) Reset() {
 	b.Msgs = b.Msgs[:0]
 	b.SetOff = b.SetOff[:0]
 	b.Sets = b.Sets[:0]
-}
-
-// Clone returns an unpooled deep copy, safe to retain after the
-// original is recycled. Interned name strings are shared (strings are
-// immutable).
-func (b *Batch) Clone() *Batch {
-	c := &Batch{
-		Procs:  append([]int32(nil), b.Procs...),
-		Kinds:  append([]byte(nil), b.Kinds...),
-		SetOff: append([]uint32(nil), b.SetOff...),
-		Sets:   append([]VarSet(nil), b.Sets...),
-	}
-	if b.Msgs != nil {
-		c.Msgs = append([]int32(nil), b.Msgs...)
-	}
-	return c
 }
 
 // Len returns the number of events in the batch.
@@ -156,8 +142,8 @@ func (b *Batch) begin(proc int, kind byte, msg int) {
 
 // Validate checks the structural invariants of a batch. Binary decode
 // only constructs valid batches; JSON-decoded batches (the "batch"
-// NDJSON frame, cluster replication, recovery replay) arrive from
-// untrusted bytes and must pass here before apply.
+// NDJSON frame) arrive from untrusted bytes and must pass here before
+// apply. AppendBatch requires a batch that passes.
 func (b *Batch) Validate() error {
 	n := len(b.Procs)
 	if n > MaxBatchEvents {

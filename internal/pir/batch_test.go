@@ -125,20 +125,20 @@ func TestBatchDecodeIdempotentOnRedelivery(t *testing.T) {
 	}
 }
 
-// TestBatchRecycleAndClone: Recycle is a no-op on unpooled batches
-// (JSON-decoded, cloned, zero-value), and a Clone survives its
-// original's recycling.
-func TestBatchRecycleAndClone(t *testing.T) {
+// TestBatchRecycle: Recycle returns pooled batches, is a no-op on
+// unpooled ones (JSON-decoded, caller-built, zero-value) — so a batch
+// the caller owns is never reset under it — and is nil-safe.
+func TestBatchRecycle(t *testing.T) {
 	b := GetBatch()
 	b.AddEvent(1, EvSend, 9, map[string]int{"x": 5})
-	c := b.Clone()
 	b.Recycle()
-	if c.Len() != 1 || c.Sets[0] != (VarSet{Name: "x", Val: 5}) || c.Msg(0) != 9 {
-		t.Fatalf("clone damaged by recycle: %+v", c)
+	c := &Batch{}
+	if err := json.Unmarshal([]byte(`{"procs":[1],"kinds":"AQ==","msgs":[9],"setoff":[0,1],"sets":[{"n":"x","v":5}]}`), c); err != nil {
+		t.Fatal(err)
 	}
 	c.Recycle() // must not enter the pool
-	if c.Len() != 1 {
-		t.Fatal("Recycle reset an unpooled batch")
+	if c.Len() != 1 || c.Sets[0] != (VarSet{Name: "x", Val: 5}) || c.Msg(0) != 9 {
+		t.Fatalf("Recycle reset an unpooled batch: %+v", c)
 	}
 	var nilBatch *Batch
 	nilBatch.Recycle() // nil-safe

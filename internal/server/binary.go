@@ -10,9 +10,10 @@
 // Binary frame layout:
 //
 //	0xB1                  FrameMagic
-//	type byte             BinBatch is the only type today
+//	type byte             BinBatch or BinReplFrame
 //	uvarint length        payload bytes, ≤ MaxFrameBytes
-//	payload               for BinBatch: a pir binary batch payload
+//	payload               for BinBatch: a pir binary batch payload;
+//	                      for BinReplFrame: see the cluster package
 //
 // Binary ingest is negotiated: a hello or resume frame carrying
 // "encoding":"binary" opts the connection in, and the welcome echoes
@@ -53,6 +54,9 @@ const FrameMagic byte = 0xB1
 const (
 	// BinBatch carries a pir binary batch payload (seq + events).
 	BinBatch byte = 0x01
+	// BinReplFrame carries one replicated frame-log entry on a cluster
+	// replication link. Client ingest connections reject it.
+	BinReplFrame byte = 0x02
 )
 
 // ErrFrameTooLong reports a frame (either encoding) whose size exceeds
@@ -202,6 +206,11 @@ func (s *FrameScanner) Binary() bool { return s.binary }
 
 // BinaryType returns the type byte of the current binary frame.
 func (s *FrameScanner) BinaryType() byte { return s.typ }
+
+// Buffered returns the number of bytes already read from the
+// underlying reader but not yet consumed by Scan. Zero means the next
+// Scan will block on the reader (the peer's writes are drained).
+func (s *FrameScanner) Buffered() int { return s.br.Buffered() }
 
 // Err returns the first error encountered (nil at clean EOF).
 func (s *FrameScanner) Err() error { return s.err }

@@ -180,7 +180,8 @@ type Session struct {
 	nextMsg int
 	nextSeq int64
 	acked   int64                // highest seq the server confirmed applied or accepted
-	outbox  []server.ClientFrame // unacked sequenced frames, ascending seq
+	outbox  []server.ClientFrame // sequenced frames, ascending seq; outbox[outHead:] are unacked
+	outHead int                  // acked prefix of outbox, already zeroed
 	err     error                // sticky; set by the first unrecoverable failure
 	failed  chan struct{}        // closed alongside the sticky error, to unblock waiters
 	failOne sync.Once
@@ -689,7 +690,7 @@ func (s *Session) Flush() error {
 func (s *Session) sendLocked(f server.ClientFrame) error {
 	sequenced := false
 	if s.cfg.Reconnect && (f.Type == server.FrameInit || f.Type == server.FrameEvent || f.Type == server.FrameBatch || f.Type == server.FrameBye) {
-		for len(s.outbox) >= s.cfg.BufferLimit && s.err == nil && !s.isDone() {
+		for len(s.outbox)-s.outHead >= s.cfg.BufferLimit && s.err == nil && !s.isDone() {
 			s.space.Wait()
 		}
 		if s.err != nil {
@@ -867,13 +868,24 @@ func (s *Session) handleAck(seq int64) {
 	s.wmu.Unlock()
 }
 
+// pruneOutboxLocked releases the frames seq covers. It advances the head
+// instead of copying the tail, so an ack costs only the frames it
+// releases; the released slots are zeroed so their batches can be
+// collected, and the live tail moves back to the front once the head
+// passes half the capacity, which keeps appends from growing the array
+// without bound.
 func (s *Session) pruneOutboxLocked(seq int64) {
-	i := 0
+	i := s.outHead
 	for i < len(s.outbox) && s.outbox[i].Seq <= seq {
 		i++
 	}
-	if i > 0 {
-		s.outbox = append([]server.ClientFrame(nil), s.outbox[i:]...)
+	clear(s.outbox[s.outHead:i])
+	s.outHead = i
+	if s.outHead > cap(s.outbox)/2 {
+		n := copy(s.outbox, s.outbox[s.outHead:])
+		clear(s.outbox[n:])
+		s.outbox = s.outbox[:n]
+		s.outHead = 0
 	}
 }
 
@@ -1021,7 +1033,7 @@ func (s *Session) adopt(conn net.Conn, sc *server.FrameScanner, serverSeq int64,
 		s.acked = serverSeq
 		s.pruneOutboxLocked(serverSeq)
 	}
-	replay := s.outbox
+	replay := s.outbox[s.outHead:]
 	for _, f := range replay {
 		if s.writeWire(conn, f) != nil {
 			conn.Close()

@@ -134,6 +134,7 @@ func FuzzFirstFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"repl-open","session":"k","epoch":-1}`))
 	f.Add([]byte(`{"type":"repl-open","session":"k","epoch":9223372036854775807}`))
 	f.Add([]byte(`{"type":"repl-frame","session":"k","epoch":1,"seq":1}`))
+	f.Add([]byte{FrameMagic, BinReplFrame, 0x04, 0x02, 0x01, 'k', '{'}) // binary repl-frame before any handshake
 	f.Add([]byte(`{"type":"repl-handoff","session":"k","epoch":2,"seq":0}`))
 	f.Add([]byte(`{"type":"repl-reject","session":"k","code":"stale-epoch","epoch":3}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"durable"}`))
@@ -193,7 +194,8 @@ func FuzzBinaryFrames(f *testing.F) {
 	f.Add([]byte{FrameMagic, BinBatch, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}) // overlong uvarint
 	f.Add([]byte{FrameMagic, 0x7f, 0x00})                                                                       // unknown frame type
 	f.Add(binary.AppendUvarint([]byte{FrameMagic, BinBatch}, MaxFrameBytes+1))
-	f.Add([]byte{FrameMagic, BinBatch, 0x03, 0x01, 0xff, 0x01}) // seq 1, garbage body
+	f.Add([]byte{FrameMagic, BinBatch, 0x03, 0x01, 0xff, 0x01})         // seq 1, garbage body
+	f.Add([]byte{FrameMagic, BinReplFrame, 0x04, 0x02, 0x01, 'k', '{'}) // a replication frame on a client connection
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := NewFrameScanner(bytes.NewReader(data))

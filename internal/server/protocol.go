@@ -160,10 +160,9 @@ type ClientFrame struct {
 
 	// batch: a run of init/event frames in column form, applied in
 	// order under the frame's single Seq. This is how batches appear
-	// on the NDJSON encoding (and inside cluster replication messages
-	// and recovery replay); on the binary encoding the same columns
-	// arrive as a BinBatch payload and are decoded straight into
-	// pir.Batch without passing through JSON.
+	// on the NDJSON encoding; on the binary encoding (and in the cluster
+	// frame log) the same columns arrive as a pir binary payload and are
+	// decoded straight into pir.Batch without passing through JSON.
 	Batch *pir.Batch `json:"batch,omitempty"`
 }
 

@@ -790,7 +790,7 @@ func (s *Session) handleBatch(f inFrame) int64 {
 		return 0
 	}
 	// Binary decode only constructs valid batches; JSON-decoded ones
-	// (NDJSON clients, cluster replication, recovery replay) are
+	// (NDJSON clients, and their replay from a cluster frame log) are
 	// untrusted shapes.
 	if err := b.Validate(); err != nil {
 		s.reject(f, err.Error())
