@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"runtime/debug"
+	"sort"
 	"time"
 
 	"repro/internal/computation"
@@ -18,34 +18,52 @@ import (
 // runIngest compares the two ingest encodings head to head on the same
 // workload: NDJSON with one frame (and one write) per event, versus the
 // binary encoding batching events into length-prefixed frames — one
-// write and one ack per batch, decoded straight into the columnar
-// batch representation with pooled buffers and interned variable
-// names, no per-event JSON on either side. Reported allocs/event is
-// the whole loopback pipeline (client encode + server decode + apply),
-// measured as the Mallocs delta across the streaming window.
+// write per batch, decoded straight into the columnar batch
+// representation with pooled buffers and interned variable names.
+// Both encodings get one ack per ingestAck events, and the timed window
+// ends on the ack covering the final frame, so the barrier costs the
+// same on both and nothing proportional to |E|. Reported allocs/event
+// is the whole loopback pipeline (client encode + server decode +
+// apply), measured as the Mallocs delta across the streaming window.
+// Each cell is the median of ingestRuns runs (encodings alternating,
+// GC on), with the runs' spread.
 func runIngest() {
-	fmt.Println("ingest path: NDJSON frame-per-event vs binary batched frames (batch=64)")
-	fmt.Printf("%8s %9s %12s %14s %12s %9s\n", "|E|", "encoding", "ingest", "events/s", "allocs/ev", "speedup")
+	fmt.Printf("ingest path: NDJSON frame-per-event vs binary batched frames (batch=%d); median of %d runs, GC on\n", ingestAck, ingestRuns)
+	fmt.Printf("%8s %9s %12s %14s %8s %12s %9s\n", "|E|", "encoding", "ingest", "events/s", "spread", "allocs/ev", "speedup")
 	for _, events := range []int{1000, 5000, 20000} {
 		comp := sim.Random(sim.DefaultRandomConfig(4, events), 21)
-		feed := flatten(comp)
-		base := bestIngest(comp, feed, server.EncodingNDJSON, 0)
-		bin := bestIngest(comp, feed, server.EncodingBinary, 64)
+		inits, feed := ingestStream(comp)
+		var nd, bn []ingestResult
+		for i := 0; i < ingestRuns; i++ {
+			nd = append(nd, measureIngest(comp, inits, feed, server.EncodingNDJSON))
+			bn = append(bn, measureIngest(comp, inits, feed, server.EncodingBinary))
+		}
+		base, baseIQR := medianIngest(nd)
+		bin, binIQR := medianIngest(bn)
 		speedup := base.dt.Seconds() / bin.dt.Seconds()
-		fmt.Printf("%8d %9s %12s %14.0f %12.1f %9s\n",
-			events, "ndjson", base.dt.Round(time.Microsecond), base.rate, base.allocsPerEv, "")
-		fmt.Printf("%8d %9s %12s %14.0f %12.1f %8.1fx\n",
-			events, "binary", bin.dt.Round(time.Microsecond), bin.rate, bin.allocsPerEv, speedup)
+		fmt.Printf("%8d %9s %12s %14.0f %7.0f%% %12.1f %9s\n",
+			len(feed), "ndjson", base.dt.Round(time.Microsecond), base.rate, 100*baseIQR, base.allocsPerEv, "")
+		fmt.Printf("%8d %9s %12s %14.0f %7.0f%% %12.1f %8.1fx\n",
+			len(feed), "binary", bin.dt.Round(time.Microsecond), bin.rate, 100*binIQR, bin.allocsPerEv, speedup)
 		emit("ingest", "encoding", map[string]any{
-			"events": events, "batch": 64,
+			"events": len(feed), "batch": ingestAck, "runs": ingestRuns,
 			"ndjson_ns": base.dt.Nanoseconds(), "ndjson_events_per_sec": base.rate,
-			"ndjson_allocs_per_event": base.allocsPerEv,
-			"binary_ns":               bin.dt.Nanoseconds(), "binary_events_per_sec": bin.rate,
-			"binary_allocs_per_event": bin.allocsPerEv,
-			"speedup":                 speedup,
+			"ndjson_spread": baseIQR, "ndjson_allocs_per_event": base.allocsPerEv,
+			"binary_ns": bin.dt.Nanoseconds(), "binary_events_per_sec": bin.rate,
+			"binary_spread": binIQR, "binary_allocs_per_event": bin.allocsPerEv,
+			"speedup": speedup,
 		})
 	}
 }
+
+const (
+	// ingestAck is both the binary batch size and the ack cadence in
+	// events: the binary server acks every batch frame, the NDJSON
+	// server every ingestAck event frames.
+	ingestAck = 64
+	// ingestRuns is the number of runs per encoding and size.
+	ingestRuns = 5
+)
 
 type ingestResult struct {
 	dt          time.Duration
@@ -53,17 +71,13 @@ type ingestResult struct {
 	allocsPerEv float64
 }
 
-// bestIngest runs the measurement three times and keeps the fastest
-// pass — the streaming window is short enough that a single GC pause
-// or scheduling hiccup otherwise dominates the comparison.
-func bestIngest(comp *computation.Computation, feed []wireEvent, enc string, batch int) ingestResult {
-	best := measureIngest(comp, feed, enc, batch)
-	for i := 0; i < 2; i++ {
-		if r := measureIngest(comp, feed, enc, batch); r.dt < best.dt {
-			best = r
-		}
-	}
-	return best
+// medianIngest returns the run with the median window and the runs'
+// interquartile range as a share of that window.
+func medianIngest(runs []ingestResult) (ingestResult, float64) {
+	sort.Slice(runs, func(i, j int) bool { return runs[i].dt < runs[j].dt })
+	n := len(runs)
+	med := runs[n/2]
+	return med, float64(runs[(3*n)/4].dt-runs[n/4].dt) / float64(med.dt)
 }
 
 // wireEvent is one pre-linearized step, so the measured window holds
@@ -93,11 +107,41 @@ func flatten(comp *computation.Computation) []wireEvent {
 	return feed
 }
 
-// measureIngest streams feed through one session with the given
-// encoding, closing with the usual accounting check, and returns wall
-// time, events/s, and allocs/event across the streaming window.
-func measureIngest(comp *computation.Computation, feed []wireEvent, enc string, batch int) ingestResult {
-	srv := server.New(server.Config{Registry: obs.NewRegistry()})
+// ingestStream returns the init frames and the events one run streams.
+// The event list is a prefix of one linearization — itself a valid
+// computation — cut so that inits plus events fill whole ingestAck
+// units, so the final frame of either encoding is an ack point.
+func ingestStream(comp *computation.Computation) ([]wireInit, []wireEvent) {
+	var inits []wireInit
+	for p := 0; p < comp.N(); p++ {
+		for _, name := range comp.Vars(p) {
+			if v, _ := comp.Value(p, 0, name); v != 0 {
+				inits = append(inits, wireInit{p, name, v})
+			}
+		}
+	}
+	feed := flatten(comp)
+	feed = feed[:len(feed)-(len(inits)+len(feed))%ingestAck]
+	return inits, feed
+}
+
+// wireInit is one initial variable value.
+type wireInit struct {
+	proc  int
+	name  string
+	value int
+}
+
+// measureIngest streams inits and feed through one session with the
+// given encoding and returns wall time, events/s, and allocs/event
+// across the streaming window, which ends when the ack covering the
+// final frame arrives.
+func measureIngest(comp *computation.Computation, inits []wireInit, feed []wireEvent, enc string) ingestResult {
+	frames, ackEvery := int64(len(inits)+len(feed)), ingestAck
+	if enc == server.EncodingBinary {
+		frames, ackEvery = frames/ingestAck, 1
+	}
+	srv := server.New(server.Config{Registry: obs.NewRegistry(), AckEvery: ackEvery})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		panic(err)
@@ -108,7 +152,8 @@ func measureIngest(comp *computation.Computation, feed []wireEvent, enc string, 
 		Processes: comp.N(),
 		Watches:   []server.Watch{{Op: "EF", Pred: pred}},
 		Encoding:  enc,
-		BatchSize: batch,
+		BatchSize: ingestAck,
+		Reconnect: true, // sequenced frames, hence acks
 	})
 	if err != nil {
 		panic(err)
@@ -122,26 +167,14 @@ func measureIngest(comp *computation.Computation, feed []wireEvent, enc string, 
 			}
 		}
 	}()
-	for p := 0; p < comp.N(); p++ {
-		for _, name := range comp.Vars(p) {
-			if v, _ := comp.Value(p, 0, name); v != 0 {
-				sess.SetInitial(p, name, v)
-			}
-		}
-	}
 
-	// Collect once, then hold off the pacer for the short measured
-	// window: the retained workload (the computation's events, clocks,
-	// and assignment maps) is large relative to the window's churn, so
-	// a mid-window GC cycle re-scanning it swamps the wire-path cost
-	// being compared. Both encodings run under the same setting, and
-	// allocs/event (a Mallocs delta) is unaffected.
 	runtime.GC()
-	oldGC := debug.SetGCPercent(-1)
-	defer debug.SetGCPercent(oldGC)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
+	for _, in := range inits {
+		sess.SetInitial(in.proc, in.name, in.value)
+	}
 	for _, e := range feed {
 		switch e.kind {
 		case computation.Internal:
@@ -152,8 +185,11 @@ func measureIngest(comp *computation.Computation, feed []wireEvent, enc string, 
 			sess.Receive(e.proc, e.msg, e.sets)
 		}
 	}
-	if _, err := sess.Snapshot("EF(" + pred + ")"); err != nil { // barrier: all applied
-		panic(err)
+	for sess.Acked() < frames {
+		if err := sess.Err(); err != nil {
+			panic(err)
+		}
+		time.Sleep(20 * time.Microsecond)
 	}
 	dt := time.Since(start)
 	runtime.ReadMemStats(&m1)
@@ -162,8 +198,8 @@ func measureIngest(comp *computation.Computation, feed []wireEvent, enc string, 
 	if err != nil {
 		panic(err)
 	}
-	if gb.Events != comp.TotalEvents() {
-		panic(fmt.Sprintf("server accounting: %d events (want %d)", gb.Events, comp.TotalEvents()))
+	if gb.Events != len(feed) {
+		panic(fmt.Sprintf("server accounting: %d events (want %d)", gb.Events, len(feed)))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	srv.Shutdown(ctx) //nolint:errcheck

@@ -21,7 +21,8 @@ import (
 //     unchanged; such a batch is rejected on apply, and replay must
 //     reproduce that rejection exactly. (Likewise an init or event frame
 //     carrying stray batch columns, which apply ignores, stays an init
-//     or event.)
+//     or event.) An ordinary init/event line is the canonical line,
+//     written and read without encoding/json (server.AppendClientFrame).
 //
 // The client's own binary frames are never stored as received: their
 // names reference the connection's interning table, which the client
@@ -89,6 +90,9 @@ func appendEntry(dst []byte, f server.ClientFrame, vt *pir.VarTable) []byte {
 		vt.Reset()
 		dst = append(dst, server.FrameMagic)
 		return pir.AppendBatch(dst, f.Seq, f.Batch, vt)
+	}
+	if line, ok := server.AppendClientFrame(dst, f); ok {
+		return line[:len(line)-1] // entries carry no line terminator
 	}
 	b, err := json.Marshal(f)
 	if err != nil {

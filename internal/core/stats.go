@@ -222,7 +222,8 @@ func emitSpan(formula string, r Result, st *Stats) {
 	if t == nil {
 		return
 	}
-	sp := t.Start("detect")
+	// The run is already over: backdate the start so the span covers it.
+	sp := t.StartAt("detect", obs.SpanContext{}, time.Now().Add(-st.Duration))
 	sp.Set("formula", formula)
 	sp.Set("algorithm", st.Algorithm)
 	sp.Set("holds", r.Holds)

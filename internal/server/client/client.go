@@ -744,12 +744,19 @@ func (s *Session) sendLocked(f server.ClientFrame) error {
 
 // writeWire writes one frame on conn under wmu: batch frames as binary
 // (one length-prefixed frame, reused buffers, names interned through
-// the per-connection table), everything else as an NDJSON line.
+// the per-connection table), init/event frames as canonical NDJSON
+// lines encoded into the reused buffer, everything else through
+// json.Marshal.
 func (s *Session) writeWire(conn net.Conn, f server.ClientFrame) error {
 	if f.Type == server.FrameBatch {
 		s.pbuf = pir.AppendBatch(s.pbuf[:0], f.Seq, f.Batch, &s.enc)
 		s.wbuf = server.AppendBinaryFrame(s.wbuf[:0], server.BinBatch, s.pbuf)
 		_, err := conn.Write(s.wbuf)
+		return err
+	}
+	if b, ok := server.AppendClientFrame(s.wbuf[:0], f); ok {
+		s.wbuf = b
+		_, err := conn.Write(b)
 		return err
 	}
 	return writeClientFrame(conn, f)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -53,8 +54,51 @@ func FuzzDecodeClientFrame(f *testing.F) {
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"DURABLE"}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"resumable":true,"durability":"paxos"}`))
 	f.Add([]byte(`{"type":"hello","processes":2,"durability":" "}`))
+	// Canonical init/event lines and their near misses: the fast scanner
+	// must take the former and leave the latter to the strict decoder.
+	f.Add([]byte(`{"type":"event","seq":5,"proc":2,"kind":"internal","sets":{"a":-1,"b":2}}`))
+	f.Add([]byte(`{"type":"event","proc":1,"kind":"send","msg":3,"sets":{}}`))
+	f.Add([]byte(`{"type":"init","seq":1,"proc":1,"var":"x","value":-7}`))
+	f.Add([]byte(`{"type":"event","proc":1,"proc":2}`))                              // duplicate key
+	f.Add([]byte(`{"type":"event","sets":{"x":1,"x":2}}`))                           // duplicate set key
+	f.Add([]byte(`{"Type":"event","proc":1}`))                                       // key casing
+	f.Add([]byte(`{"type":"event","PROC":1}`))                                       // key casing
+	f.Add([]byte(`{"type":"init","proc":1,"var":"x\u0041","value":1}`))              // escaped string
+	f.Add([]byte(`{"type":"init","proc":1,"var":"\u00e9","value":1}`))               // escaped non-ASCII
+	f.Add([]byte("{\"type\":\"init\",\"proc\":1,\"var\":\"\xc3\xa9\",\"value\":1}")) // raw UTF-8
+	f.Add([]byte("{\"type\":\"init\",\"proc\":1,\"var\":\"\xff\",\"value\":1}"))     // invalid UTF-8
+	f.Add([]byte(`{"type":"event","proc":1e3}`))                                     // exponent
+	f.Add([]byte(`{"type":"event","proc":1.0}`))                                     // fraction
+	f.Add([]byte(`{"type":"event","proc":-0}`))                                      // negative zero
+	f.Add([]byte(`{"type":"event","proc":01}`))                                      // leading zero
+	f.Add([]byte(`{"type":"event","seq":9223372036854775808}`))                      // int64 overflow
+	f.Add([]byte(`{"type":"event","seq":-9223372036854775809}`))                     // int64 underflow
+	f.Add([]byte(`{"type":"event","sets":{"x":18446744073709551616}}`))              // uint64 overflow
+	f.Add([]byte(`{"type":"event","proc":null}`))                                    // null value
+	f.Add([]byte(`{"type":"event","sets":null}`))                                    // null sets
+	f.Add([]byte(`{"type":"event","kind":null}`))                                    // null string
+	f.Add([]byte(`{"type":"event","proc":1} `))                                      // trailing whitespace
+	f.Add([]byte(`{"type":"event","proc":1}` + "\n"))                                // trailing newline
+	f.Add([]byte(`{ "type":"event","proc":1}`))                                      // inner whitespace
+	f.Add([]byte(`{"type":"event","proc":1}x`))                                      // trailing garbage
+	f.Add([]byte(`{"proc":1}`))                                                      // no type
+	f.Add([]byte(`{"type":"event","var":"a<b"}`))                                    // HTML-escaped by Marshal
+	f.Add([]byte(`{"type":"event","kind":"recv","msg":-2147483649}`))                // unknown kind
+	f.Add([]byte(`{"type":"event","proc":true}`))                                    // wrong value type
 
 	f.Fuzz(func(t *testing.T, line []byte) {
+		if fast, ok := scanCanonical(line); ok {
+			// The differential contract: whatever the fast scanner takes,
+			// the strict decoder takes too, to the same frame — including
+			// nil versus empty Sets.
+			strict, err := decodeStrict(line)
+			if err != nil {
+				t.Fatalf("scanner took %q; strict decode refused it: %v", line, err)
+			}
+			if !reflect.DeepEqual(fast, strict) {
+				t.Fatalf("scanner and strict decode disagree on %q:\n fast   %#v\n strict %#v", line, fast, strict)
+			}
+		}
 		fr, err := DecodeClientFrame(line)
 		if err != nil {
 			return

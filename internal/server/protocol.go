@@ -220,12 +220,22 @@ type ServerFrame struct {
 
 // DecodeClientFrame parses one NDJSON line into a ClientFrame. Unknown
 // fields and trailing data are rejected so a desynchronized or hostile
-// stream fails loudly instead of silently dropping constraints.
+// stream fails loudly instead of silently dropping constraints. A
+// canonical init/event line (see AppendClientFrame) is read without
+// encoding/json; every other line takes the strict decode.
 func DecodeClientFrame(line []byte) (ClientFrame, error) {
-	var f ClientFrame
 	if len(line) > MaxFrameBytes {
-		return f, fmt.Errorf("server: frame exceeds %d bytes", MaxFrameBytes)
+		return ClientFrame{}, fmt.Errorf("server: frame exceeds %d bytes", MaxFrameBytes)
 	}
+	if f, ok := scanCanonical(line); ok {
+		return f, nil
+	}
+	return decodeStrict(line)
+}
+
+// decodeStrict is DecodeClientFrame through encoding/json.
+func decodeStrict(line []byte) (ClientFrame, error) {
+	var f ClientFrame
 	dec := json.NewDecoder(bytes.NewReader(line))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {

@@ -91,6 +91,10 @@ type inFrame struct {
 	enq  time.Time
 	resp chan ServerFrame // non-nil for requests awaiting an in-band reply
 	span *obs.Span        // the frame's pipeline span (nil when tracing is off)
+	// enqSpan is the frame's enqueue stage. The monitor loop ends it on
+	// dequeue, before the apply stage starts; the transport ends it only
+	// when the frame never reaches the queue.
+	enqSpan *obs.Span
 }
 
 // attachment is one transport subscription (a TCP connection's writer).
@@ -380,7 +384,6 @@ func (s *Session) Ingest(f ClientFrame) error {
 }
 
 func (s *Session) enqueue(in inFrame) error {
-	var es *obs.Span
 	if s.tracer != nil && in.f.Type != frameFlush {
 		// The frame span starts at ingest time and ends when the monitor
 		// loop has applied the frame; its children are the pipeline stages.
@@ -393,18 +396,16 @@ func (s *Session) enqueue(in inFrame) error {
 			fs.Set("seq", in.f.Seq)
 		}
 		in.span = fs
-		es = fs.StartChild("enqueue").Set("service", "transport")
+		in.enqSpan = fs.StartChild("enqueue").Set("service", "transport")
 	}
 	start := time.Now()
 	err := s.enqueueRaw(in)
 	if in.f.Type != frameFlush { // flush barriers would skew the stage
 		s.srv.met.stage(StageEnqueue, time.Since(start))
 	}
-	if es != nil {
-		es.End()
-	}
 	if err != nil && in.span != nil {
-		// The frame never reaches the monitor loop; close its span here.
+		// The frame never reaches the monitor loop; close its spans here.
+		in.enqSpan.End()
 		in.span.Set("error", err.Error())
 		in.span.End()
 	}
@@ -564,6 +565,10 @@ func (s *Session) finish() {
 
 func (s *Session) handle(f inFrame) {
 	s.lastActive.Store(time.Now().UnixNano())
+	// Once the loop holds the frame the enqueue stage is over; ending it
+	// here, not in the transport after its channel send returns, keeps
+	// the stages' end order the pipeline order.
+	f.enqSpan.End()
 	// The apply span covers the monitor step for this frame; verdict
 	// spans latched by it parent under the frame span via curSpan.
 	applyStart := time.Now()
@@ -582,13 +587,13 @@ func (s *Session) handle(f inFrame) {
 		}
 	}()
 	switch f.f.Type {
-	case FrameInit:
-		s.handleInit(f)
-		s.noteSeq(f.f, 0)
-	case FrameEvent:
-		before := s.seen
-		s.handleEvent(f)
-		s.noteSeq(f.f, int64(s.seen-before))
+	case FrameInit, FrameEvent:
+		var applied int64
+		if s.applyRow(f, singleRow(f.f)) {
+			applied = 1
+			s.observeIngest(f)
+		}
+		s.noteSeq(f.f, applied)
 	case FrameBatch:
 		s.noteSeq(f.f, s.handleBatch(f))
 		f.f.Batch.Recycle() // no-op unless the batch came from the binary decode pool
@@ -678,29 +683,6 @@ func (s *Session) reject(f inFrame, msg string) {
 	s.emit(fr, true)
 }
 
-func (s *Session) handleInit(f inFrame) {
-	proc := f.f.Proc - 1
-	if proc < 0 || proc >= s.n {
-		s.reject(f, fmt.Sprintf("init for process %d outside [1,%d]", f.f.Proc, s.n))
-		return
-	}
-	if f.f.Var == "" {
-		s.reject(f, "init frame without var")
-		return
-	}
-	if s.mon.EventsOn(proc) > 0 {
-		s.reject(f, fmt.Sprintf("init for process %d after its events", f.f.Proc))
-		return
-	}
-	if s.registered {
-		// Watches already evaluated initial states; a later init would
-		// make verdicts depend on ingest interleaving.
-		s.reject(f, "init after watches started evaluating (send inits first)")
-		return
-	}
-	s.mon.SetInitial(proc, f.f.Var, f.f.Value)
-}
-
 // ensureWatches registers the watches on the monitor. Deferred until the
 // first event (or snapshot/close) so init frames streamed after hello are
 // visible to the watches' initial-state evaluation; verdicts determined
@@ -734,35 +716,109 @@ func (s *Session) ensureWatches() {
 	s.checkWatches()
 }
 
-func (s *Session) handleEvent(f inFrame) {
-	s.ensureWatches()
-	proc := f.f.Proc - 1
-	if proc < 0 || proc >= s.n {
-		s.reject(f, fmt.Sprintf("event for process %d outside [1,%d]", f.f.Proc, s.n))
-		return
+// row is one init or event as the apply path consumes it: a batch row,
+// or a single init/event frame lowered by singleRow.
+type row struct {
+	idx  int  // index in the batch frame; -1 for a single frame
+	proc int  // 1-based wire process id
+	kind byte // pir.EvInit, EvInternal, EvSend, EvReceive, or evUnknown
+	msg  int
+	name string         // init: the variable
+	val  int            // init: its initial value
+	sets map[string]int // event: the assignments (the monitor copies them)
+}
+
+// evUnknown marks a single event frame whose kind string is not one the
+// protocol defines; applyRow rejects it per frame. Batch kinds are
+// validated before apply and never take this value.
+const evUnknown byte = 0xff
+
+// singleRow lowers a single init or event frame into a row.
+func singleRow(f ClientFrame) row {
+	r := row{idx: -1, proc: f.Proc, kind: pir.EvInit, msg: f.Msg, name: f.Var, val: f.Value, sets: f.Sets}
+	if f.Type == FrameEvent {
+		switch f.Kind {
+		case "", "internal":
+			r.kind = pir.EvInternal
+		case "send":
+			r.kind = pir.EvSend
+		case "receive":
+			r.kind = pir.EvReceive
+		default:
+			r.kind = evUnknown
+		}
 	}
-	switch f.f.Kind {
-	case "", "internal":
-		s.mon.Internal(proc, f.f.Sets)
-	case "send":
-		if _, dup := s.msgIDs[f.f.Msg]; dup {
-			s.reject(f, fmt.Sprintf("message %d sent twice", f.f.Msg))
-			return
+	return r
+}
+
+// applyRow applies one init or event to the monitor — the single apply
+// path behind both single frames and batches. A semantic error rejects
+// the row alone (the reject texts name the batch index for batch rows)
+// and the session continues. Every applied event checks the watches, so
+// verdict determining prefixes are per event whatever the framing.
+// Reports whether an event was applied; inits and rejected rows apply
+// none.
+func (s *Session) applyRow(f inFrame, r row) bool {
+	single := r.idx < 0
+	if single && r.kind != pir.EvInit {
+		// A single event frame registers the watches before its process
+		// is checked, as it always has; a batch row checks first.
+		s.ensureWatches()
+	}
+	proc := r.proc - 1
+	if proc < 0 || proc >= s.n {
+		switch {
+		case !single:
+			s.reject(f, fmt.Sprintf("batched event %d for process %d outside [1,%d]", r.idx, r.proc, s.n))
+		case r.kind == pir.EvInit:
+			s.reject(f, fmt.Sprintf("init for process %d outside [1,%d]", r.proc, s.n))
+		default:
+			s.reject(f, fmt.Sprintf("event for process %d outside [1,%d]", r.proc, s.n))
 		}
-		s.msgIDs[f.f.Msg] = s.mon.Send(proc, f.f.Sets)
-	case "receive":
-		id, ok := s.msgIDs[f.f.Msg]
+		return false
+	}
+	if r.kind == pir.EvInit {
+		switch {
+		case r.name == "" && single:
+			s.reject(f, "init frame without var")
+		case r.name == "":
+			s.reject(f, fmt.Sprintf("batched init %d without var", r.idx))
+		case s.mon.EventsOn(proc) > 0 && single:
+			s.reject(f, fmt.Sprintf("init for process %d after its events", r.proc))
+		case s.mon.EventsOn(proc) > 0:
+			s.reject(f, fmt.Sprintf("batched init for process %d after its events", r.proc))
+		case s.registered:
+			// Watches already evaluated initial states; a later init would
+			// make verdicts depend on ingest interleaving.
+			s.reject(f, "init after watches started evaluating (send inits first)")
+		default:
+			s.mon.SetInitial(proc, r.name, r.val)
+		}
+		return false
+	}
+	s.ensureWatches()
+	switch r.kind {
+	case pir.EvInternal:
+		s.mon.Internal(proc, r.sets)
+	case pir.EvSend:
+		if _, dup := s.msgIDs[r.msg]; dup {
+			s.reject(f, fmt.Sprintf("message %d sent twice", r.msg))
+			return false
+		}
+		s.msgIDs[r.msg] = s.mon.Send(proc, r.sets)
+	case pir.EvReceive:
+		id, ok := s.msgIDs[r.msg]
 		if !ok {
-			s.reject(f, fmt.Sprintf("receive of unknown message %d (dropped or unsent)", f.f.Msg))
-			return
+			s.reject(f, fmt.Sprintf("receive of unknown message %d (dropped or unsent)", r.msg))
+			return false
 		}
-		if err := s.mon.Receive(proc, id, f.f.Sets); err != nil {
+		if err := s.mon.Receive(proc, id, r.sets); err != nil {
 			s.reject(f, err.Error())
-			return
+			return false
 		}
 	default:
 		s.reject(f, fmt.Sprintf("unknown event kind %q", f.f.Kind))
-		return
+		return false
 	}
 	s.seen++
 	s.events.Add(1)
@@ -771,18 +827,22 @@ func (s *Session) handleEvent(f inFrame) {
 		time.Sleep(d)
 	}
 	s.checkWatches()
+	return true
+}
+
+// observeIngest records one frame's enqueue-to-applied latency: once per
+// frame, whatever the number of events it carried.
+func (s *Session) observeIngest(f inFrame) {
 	lat := time.Since(f.enq)
 	s.latNanos.Add(lat.Nanoseconds())
 	s.srv.met.ingestDur.Observe(lat.Seconds())
 }
 
-// handleBatch applies a batch frame: each batched init/event in order,
-// with exactly the semantics the equivalent single frames would have
-// had — per-event semantic errors are rejected individually and the
-// rest of the batch continues, and every applied event checks the
-// watches, so verdict determining prefixes are bit-identical to the
-// unbatched stream. Returns the number of events applied (inits and
-// rejected events do not count, matching the single-frame path).
+// handleBatch applies a batch frame: each batched init/event in order
+// through applyRow, with exactly the semantics the equivalent single
+// frames would have had — per-event semantic errors are rejected
+// individually and the rest of the batch continues. Returns the number
+// of events applied.
 func (s *Session) handleBatch(f inFrame) int64 {
 	b := f.f.Batch
 	if b == nil {
@@ -798,62 +858,19 @@ func (s *Session) handleBatch(f inFrame) int64 {
 	}
 	var applied int64
 	for i, n := 0, b.Len(); i < n; i++ {
-		proc := int(b.Procs[i]) - 1
-		kind := b.Kinds[i]
-		if proc < 0 || proc >= s.n {
-			s.reject(f, fmt.Sprintf("batched event %d for process %d outside [1,%d]", i, b.Procs[i], s.n))
-			continue
-		}
 		lo, hi := b.SetOff[i], b.SetOff[i+1]
-		if kind == pir.EvInit {
-			vs := b.Sets[lo]
-			switch {
-			case vs.Name == "":
-				s.reject(f, fmt.Sprintf("batched init %d without var", i))
-			case s.mon.EventsOn(proc) > 0:
-				s.reject(f, fmt.Sprintf("batched init for process %d after its events", b.Procs[i]))
-			case s.registered:
-				s.reject(f, "init after watches started evaluating (send inits first)")
-			default:
-				s.mon.SetInitial(proc, vs.Name, vs.Val)
-			}
-			continue
+		r := row{idx: i, proc: int(b.Procs[i]), kind: b.Kinds[i], msg: b.Msg(i)}
+		if r.kind == pir.EvInit {
+			r.name, r.val = b.Sets[lo].Name, b.Sets[lo].Val
+		} else {
+			r.sets = s.scratchSets(b.Sets[lo:hi])
 		}
-		s.ensureWatches()
-		sets := s.scratchSets(b.Sets[lo:hi])
-		switch kind {
-		case pir.EvInternal:
-			s.mon.Internal(proc, sets)
-		case pir.EvSend:
-			if _, dup := s.msgIDs[b.Msg(i)]; dup {
-				s.reject(f, fmt.Sprintf("message %d sent twice", b.Msg(i)))
-				continue
-			}
-			s.msgIDs[b.Msg(i)] = s.mon.Send(proc, sets)
-		case pir.EvReceive:
-			id, ok := s.msgIDs[b.Msg(i)]
-			if !ok {
-				s.reject(f, fmt.Sprintf("receive of unknown message %d (dropped or unsent)", b.Msg(i)))
-				continue
-			}
-			if err := s.mon.Receive(proc, id, sets); err != nil {
-				s.reject(f, err.Error())
-				continue
-			}
+		if s.applyRow(f, r) {
+			applied++
 		}
-		s.seen++
-		s.events.Add(1)
-		s.srv.met.events.Inc()
-		applied++
-		if d := s.srv.cfg.IngestDelay; d > 0 {
-			time.Sleep(d)
-		}
-		s.checkWatches()
 	}
 	s.srv.met.batches.Inc()
-	lat := time.Since(f.enq)
-	s.latNanos.Add(lat.Nanoseconds())
-	s.srv.met.ingestDur.Observe(lat.Seconds())
+	s.observeIngest(f)
 	return applied
 }
 
