@@ -85,15 +85,17 @@ func BenchmarkA1EGLinear(b *testing.B) {
 		comp := sim.Random(sim.DefaultRandomConfig(4, events), 11)
 		p := benchLinear()
 		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				core.EGLinear(comp, p)
 			}
 		})
 	}
-	for _, n := range []int{2, 8, 32} {
+	for _, n := range []int{2, 8, 16, 32} {
 		comp := sim.Random(sim.DefaultRandomConfig(n, 4000), 11)
 		p := benchLinear()
 		b.Run(fmt.Sprintf("N%d", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				core.EGLinear(comp, p)
 			}
@@ -106,11 +108,20 @@ func BenchmarkA2AGLinear(b *testing.B) {
 		comp := sim.Random(sim.DefaultRandomConfig(4, events), 11)
 		p := benchLinear()
 		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				core.AGLinear(comp, p)
 			}
 		})
 	}
+	comp := sim.Random(sim.DefaultRandomConfig(16, 8000), 11)
+	p := benchConj() // holds throughout: the sweep visits all |E| irreducibles
+	b.Run("N16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			core.AGLinear(comp, p)
+		}
+	})
 }
 
 // --- Fig. 2: meet-irreducibles -------------------------------------------
@@ -171,6 +182,7 @@ func BenchmarkHardnessAGTaut(b *testing.B) {
 
 func BenchmarkA3EU(b *testing.B) {
 	b.Run("Fig4", func(b *testing.B) {
+		b.ReportAllocs()
 		comp := sim.Fig4()
 		p := predicate.Conj(
 			predicate.VarCmp{Proc: 2, Var: "z", Op: predicate.LT, K: 6},
@@ -194,11 +206,56 @@ func BenchmarkA3EU(b *testing.B) {
 			predicate.ChannelsEmpty{},
 		}}
 		b.Run(fmt.Sprintf("E%d", events), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				core.EUConjLinear(comp, p, q)
 			}
 		})
 	}
+	comp := sim.Random(sim.DefaultRandomConfig(16, 8000), 13)
+	b.Run("N16", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, ok := core.EUConjLinear(comp, benchConj(), lastEvents(4)); !ok {
+				b.Fatal("EU must hold")
+			}
+		}
+	})
+}
+
+// lastEvents is the conjunctive predicate "P1…Pn have executed all their
+// events": its least satisfying cut holds the last event of each, so A3's
+// step 2 walks from near the final cut down to ∅.
+func lastEvents(n int) predicate.Conjunctive {
+	var locals []predicate.LocalPredicate
+	for i := 0; i < n; i++ {
+		locals = append(locals, predicate.LocalFn{Proc: i, Name: "done",
+			Fn: func(c *computation.Computation, k int) bool { return k == c.Len(i) }})
+	}
+	return predicate.Conj(locals...)
+}
+
+// BenchmarkA3Parallel pits Detect against DetectParallel on one A3 cell of
+// a 16-process computation; DetectParallel must not be the slower one.
+func BenchmarkA3Parallel(b *testing.B) {
+	comp := sim.Random(sim.DefaultRandomConfig(16, 8000), 13)
+	f := ctl.EU{P: ctl.Atom{P: benchConj()}, Q: ctl.Atom{P: lastEvents(4)}}
+	b.Run("Detect", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if r, err := core.Detect(comp, f); err != nil || !r.Holds {
+				b.Fatal("EU must hold", err)
+			}
+		}
+	})
+	b.Run("DetectParallel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if r, err := core.DetectParallel(comp, f, 0); err != nil || !r.Holds {
+				b.Fatal("EU must hold", err)
+			}
+		}
+	})
 }
 
 func BenchmarkAUDisjunctive(b *testing.B) {

@@ -19,6 +19,7 @@ type Builder struct {
 	n       int
 	events  [][]*Event
 	clocks  []vclock.VC // running clock per process
+	arena   []int       // unused tail of the chunk event clocks are carved from
 	initial []map[string]int
 	nextMsg int
 	sends   map[int]*Event
@@ -73,10 +74,28 @@ func (b *Builder) addEvent(i int, kind Kind, msg int) *Event {
 		Index: len(b.events[i]) + 1,
 		Kind:  kind,
 		Msg:   msg,
-		Clock: b.clocks[i].Copy(),
+		Clock: b.clockRow(i),
 	}
 	b.events[i] = append(b.events[i], e)
 	return e
+}
+
+// arenaInts sizes one builder arena chunk: as many whole event clocks as
+// fit in 4096 ints (32 KiB), at most 256 and at least one, so a wide
+// computation's first event does not allocate hundreds of clocks.
+const arenaInts = 4096
+
+// clockRow returns a copy of process i's running clock carved from the
+// builder's arena, so recording an event costs no allocation of its own.
+// Build repacks the rows into per-process slabs.
+func (b *Builder) clockRow(i int) vclock.VC {
+	if len(b.arena) < b.n {
+		b.arena = make([]int, b.n*max(1, min(256, arenaInts/b.n)))
+	}
+	row := b.arena[:b.n:b.n]
+	b.arena = b.arena[b.n:]
+	copy(row, b.clocks[i])
+	return row
 }
 
 // Internal appends an internal event on process i.
@@ -148,37 +167,63 @@ func (b *Builder) Build() (*Computation, error) {
 		initial:    b.initial,
 		sends:      b.sends,
 		recvs:      b.recvs,
+		clocks:     make([][]int, b.n),
 		vals:       make([]map[string][]int, b.n),
 		varsByProc: make([][]string, b.n),
 	}
-	// Materialize per-state valuations so Value is O(1).
-	for i := 0; i < b.n; i++ {
-		names := make(map[string]bool)
+	// Pack each process's clocks into one exact-size row-major slab and
+	// re-point every Event.Clock at its row, so the detection kernels read
+	// clocks without chasing event pointers and the memory is not doubled.
+	for i, evs := range b.events {
+		slab := make([]int, len(evs)*b.n)
+		for k, e := range evs {
+			row := slab[k*b.n : (k+1)*b.n : (k+1)*b.n]
+			copy(row, e.Clock)
+			e.Clock = row
+		}
+		comp.clocks[i] = slab
+	}
+	// Materialize per-state valuations so Value is O(1), in one pass over
+	// each process's events: a column is filled forward lazily, up to the
+	// next assignment and finally to the last state.
+	type column struct {
+		vals []int // vals[k] is the value in local state k
+		last int   // vals[:last+1] are final
+	}
+	for i, evs := range b.events {
+		cols := make(map[string]*column, len(b.initial[i]))
+		open := func(name string) *column {
+			c := &column{vals: make([]int, len(evs)+1)}
+			c.vals[0] = b.initial[i][name]
+			cols[name] = c
+			return c
+		}
 		for name := range b.initial[i] {
-			names[name] = true
+			open(name)
 		}
-		for _, e := range b.events[i] {
-			for name := range e.Sets {
-				names[name] = true
-			}
-		}
-		cols := make(map[string][]int, len(names))
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name)
-			col := make([]int, len(b.events[i])+1)
-			col[0] = b.initial[i][name]
-			for k, e := range b.events[i] {
-				if v, ok := e.Sets[name]; ok {
-					col[k+1] = v
-				} else {
-					col[k+1] = col[k]
+		for k, e := range evs {
+			for name, v := range e.Sets {
+				c := cols[name]
+				if c == nil {
+					c = open(name)
 				}
+				for s := c.last + 1; s <= k; s++ {
+					c.vals[s] = c.vals[c.last]
+				}
+				c.vals[k+1], c.last = v, k+1
 			}
-			cols[name] = col
+		}
+		vals := make(map[string][]int, len(cols))
+		sorted := make([]string, 0, len(cols))
+		for name, c := range cols {
+			for s := c.last + 1; s <= len(evs); s++ {
+				c.vals[s] = c.vals[c.last]
+			}
+			vals[name] = c.vals
+			sorted = append(sorted, name)
 		}
 		sort.Strings(sorted)
-		comp.vals[i] = cols
+		comp.vals[i] = vals
 		comp.varsByProc[i] = sorted
 	}
 	return comp, nil

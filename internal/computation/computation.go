@@ -14,6 +14,7 @@ import (
 // process i in local state c[i].
 type Computation struct {
 	events     [][]*Event         // events[i][k] is event (i, k+1)
+	clocks     [][]int            // clocks[i][k*N() : (k+1)*N()] is the clock of event (i, k+1)
 	initial    []map[string]int   // initial valuation per process
 	vals       []map[string][]int // vals[i][name][k] = value of name in state k of process i
 	varsByProc [][]string         // sorted variable names known to each process
@@ -127,14 +128,20 @@ func (comp *Computation) Consistent(c Cut) bool {
 		if k == 0 {
 			continue
 		}
-		clock := comp.events[i][k-1].Clock
-		for j, need := range clock {
+		for j, need := range comp.clock(i, k) {
 			if need > c[j] {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// clock returns the vector clock of event (i, k), k ≥ 1, as a row of
+// process i's slab.
+func (comp *Computation) clock(i, k int) []int {
+	n := len(comp.clocks)
+	return comp.clocks[i][(k-1)*n : k*n]
 }
 
 // EnabledEvent reports whether the next event of process i (event
@@ -144,8 +151,7 @@ func (comp *Computation) EnabledEvent(c Cut, i int) bool {
 	if k >= comp.Len(i) {
 		return false
 	}
-	clock := comp.events[i][k].Clock
-	for j, need := range clock {
+	for j, need := range comp.clock(i, k+1) {
 		if j != i && need > c[j] {
 			return false
 		}
@@ -186,11 +192,12 @@ func (comp *Computation) MaximalEvent(c Cut, i int) bool {
 	}
 	// Event (i,k) is maximal iff no other included event causally follows
 	// it; it suffices to check the last included event of each process.
+	n := len(c)
 	for j, m := range c {
 		if j == i || m == 0 {
 			continue
 		}
-		if comp.events[j][m-1].Clock[i] >= k {
+		if comp.clocks[j][(m-1)*n+i] >= k {
 			return false
 		}
 	}
@@ -234,27 +241,79 @@ func (comp *Computation) DownSet(e *Event) Cut {
 // lattice (Birkhoff). Component j counts the events of process j that e
 // does not happen-before (and that are not e itself).
 func (comp *Computation) UpSetComplement(e *Event) Cut {
-	m := NewCut(comp.N())
-	for j := range m {
-		if j == e.Proc {
-			m[j] = e.Index - 1
+	m := comp.FinalCut()
+	comp.MeetUpSetComplement(m, e)
+	return m
+}
+
+// MeetUpSetComplement sets c to c ⊓ (E − ↑e) in place: the greatest
+// consistent cut below the consistent cut c that excludes e. It
+// allocates nothing.
+func (comp *Computation) MeetUpSetComplement(c Cut, e *Event) {
+	n, i := len(c), e.Proc
+	for j := range c {
+		if j == i {
+			c[j] = min(c[j], e.Index-1)
 			continue
 		}
 		// Events of process j that causally know e form a suffix; find the
-		// first one with Clock[e.Proc] ≥ e.Index by binary search.
-		evs := comp.events[j]
-		lo, hi := 0, len(evs)
+		// first one with Clock[i] ≥ e.Index among the first c[j] by binary
+		// search.
+		col := comp.clocks[j]
+		lo, hi := 0, c[j]
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if evs[mid].Clock[e.Proc] >= e.Index {
+			if col[mid*n+i] >= e.Index {
 				hi = mid
 			} else {
 				lo = mid + 1
 			}
 		}
-		m[j] = lo
+		c[j] = lo
 	}
-	return m
+}
+
+// MeetWalk enumerates meet-irreducible cuts E − ↑(i, k) into one scratch
+// cut. Along one process E − ↑(i, k) is monotone in k (component j counts
+// the events of j whose clock entry for i is below k, a prefix), so
+// successive calls for the same process advance a pointer per process
+// instead of binary-searching: a full sweep of process i costs O(|E|)
+// clock reads, allocation-free. A MeetWalk is not safe for concurrent
+// use; parallel sweeps take one per worker.
+type MeetWalk struct {
+	comp    *Computation
+	proc, k int
+	cut     Cut
+}
+
+// NewMeetWalk returns a walk over comp's meet-irreducible cuts.
+func (comp *Computation) NewMeetWalk() *MeetWalk {
+	return &MeetWalk{comp: comp, proc: -1, cut: NewCut(comp.N())}
+}
+
+// At returns E − ↑(i, k) for event (i, k), k 1-based, as the walk's
+// scratch cut: it must not be modified, and the next call overwrites it.
+// Calls for one process with non-decreasing k advance incrementally; any
+// other call restarts the walk from the initial cut.
+func (w *MeetWalk) At(i, k int) Cut {
+	if i != w.proc || k < w.k {
+		clear(w.cut)
+		w.proc = i
+	}
+	w.k = k
+	n := len(w.cut)
+	for j, m := range w.cut {
+		if j == i {
+			continue
+		}
+		col, end := w.comp.clocks[j], len(w.comp.events[j])
+		for m < end && col[m*n+i] < k {
+			m++
+		}
+		w.cut[j] = m
+	}
+	w.cut[i] = k - 1
+	return w.cut
 }
 
 // CompatibleStates reports whether local states (i, k) and (j, k') can
@@ -265,10 +324,10 @@ func (comp *Computation) CompatibleStates(i, k, j, kp int) bool {
 	}
 	// The least cut containing exactly k events of i and k' of j exists iff
 	// neither state causally requires more of the other process.
-	if kp > 0 && comp.events[j][kp-1].Clock[i] > k {
+	if kp > 0 && comp.clock(j, kp)[i] > k {
 		return false
 	}
-	if k > 0 && comp.events[i][k-1].Clock[j] > kp {
+	if k > 0 && comp.clock(i, k)[j] > kp {
 		return false
 	}
 	return true
@@ -294,26 +353,31 @@ func (comp *Computation) InFlight(c Cut) int {
 func (comp *Computation) ChannelsEmpty(c Cut) bool { return comp.InFlight(c) == 0 }
 
 // Prefix returns the sub-computation containing exactly the events of the
-// consistent cut c. The result shares storage with the original. It panics
-// if c is not consistent: a non-consistent prefix would contain receives
-// without their sends.
+// consistent cut c. The result shares storage with the original: event,
+// clock slab and value columns are re-sliced to the prefix bound, so no
+// read through the prefix reaches past it. It panics if c is not
+// consistent: a non-consistent prefix would contain receives without their
+// sends.
 func (comp *Computation) Prefix(c Cut) *Computation {
 	if !comp.Consistent(c) {
 		panic(fmt.Sprintf("computation: Prefix of inconsistent cut %v", c))
 	}
+	n := comp.N()
 	sub := &Computation{
-		events:     make([][]*Event, comp.N()),
+		events:     make([][]*Event, n),
+		clocks:     make([][]int, n),
 		initial:    comp.initial,
-		vals:       make([]map[string][]int, comp.N()),
+		vals:       make([]map[string][]int, n),
 		varsByProc: comp.varsByProc,
 		sends:      make(map[int]*Event),
 		recvs:      make(map[int]*Event),
 	}
 	for i, k := range c {
-		sub.events[i] = comp.events[i][:k]
+		sub.events[i] = comp.events[i][:k:k]
+		sub.clocks[i] = comp.clocks[i][: k*n : k*n]
 		cols := make(map[string][]int, len(comp.vals[i]))
 		for name, col := range comp.vals[i] {
-			cols[name] = col[:k+1]
+			cols[name] = col[: k+1 : k+1]
 		}
 		sub.vals[i] = cols
 		for _, e := range sub.events[i] {

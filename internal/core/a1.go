@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/computation"
 	"repro/internal/predicate"
 )
@@ -22,44 +24,11 @@ func EGLinear(comp *computation.Computation, p predicate.Predicate) (path []comp
 }
 
 func egLinear(comp *computation.Computation, p predicate.Predicate, st *Stats) (path []computation.Cut, ok bool) {
-	w := comp.FinalCut()
-	// Step 1: the final cut itself must satisfy p.
-	st.cuts(1)
-	st.evals(1)
-	if !p.Eval(comp, w) {
+	steps, ok := egWalk(comp, p, comp.FinalCut(), true, st, nil)
+	if !ok {
 		return nil, false
 	}
-	initial := comp.InitialCut()
-	rev := []computation.Cut{w.Copy()}
-	// Step 2–6: walk down one event at a time.
-	for !w.Equal(initial) {
-		found := false
-		for i := range w {
-			if !comp.MaximalEvent(w, i) {
-				continue
-			}
-			w[i]--
-			st.cuts(1)
-			st.evals(1)
-			if p.Eval(comp, w) {
-				rev = append(rev, w.Copy())
-				found = true
-				break
-			}
-			w[i]++
-		}
-		if !found {
-			return nil, false
-		}
-		st.advance(1)
-	}
-	// Step 7 is implicit: the loop only reaches ∅ through satisfying cuts.
-	// Reverse into ∅ → E order.
-	path = make([]computation.Cut, len(rev))
-	for i, c := range rev {
-		path[len(rev)-1-i] = c
-	}
-	return path, true
+	return walkPath(comp.N(), steps), true
 }
 
 // EGPostLinear is the dual of Algorithm A1 for post-linear predicates: it
@@ -71,36 +40,89 @@ func EGPostLinear(comp *computation.Computation, p predicate.Predicate) (path []
 }
 
 func egPostLinear(comp *computation.Computation, p predicate.Predicate, st *Stats) (path []computation.Cut, ok bool) {
-	w := comp.InitialCut()
+	steps, ok := egWalk(comp, p, comp.InitialCut(), false, st, nil)
+	if !ok {
+		return nil, false
+	}
+	return walkPath(comp.N(), steps), true
+}
+
+// abandonEvery is how many A1 steps pass between polls of the abandon
+// callback: often enough that a cancelled branch stops within
+// microseconds, rarely enough that the poll does not show in the step cost.
+const abandonEvery = 256
+
+// egWalk is the one kernel of Algorithm A1 (down) and its post-linear dual
+// (up). It starts at the cut w, which it consumes as scratch, and moves one
+// event at a time to the first predecessor (successor) cut in process order
+// satisfying p, until it reaches ∅ (down) or E (up; w must then be ∅).
+// Only the process of each step is recorded: on success steps lists, in
+// order from ∅, the process whose event each cut of the path adds, and
+// walkPath lays the path out. A down walk from w visits only cuts below
+// w, where comp and comp.Prefix(w) agree, so A3 runs it on comp directly.
+//
+// abandon, when non-nil, is polled every abandonEvery steps; when it
+// reports true the walk stops with ok false and its Stats are incomplete
+// (the caller discards them).
+func egWalk(comp *computation.Computation, p predicate.Predicate, w computation.Cut, down bool, st *Stats, abandon func() bool) (steps []int32, ok bool) {
+	// Step 1: the starting cut itself must satisfy p.
 	st.cuts(1)
 	st.evals(1)
 	if !p.Eval(comp, w) {
 		return nil, false
 	}
-	final := comp.FinalCut()
-	path = []computation.Cut{w.Copy()}
-	for !w.Equal(final) {
+	remaining, delta := w.Size(), -1
+	if !down {
+		remaining, delta = comp.TotalEvents()-remaining, 1
+	}
+	// Steps 2–6: move one event at a time.
+	for s := 0; s < remaining; s++ {
+		if abandon != nil && s%abandonEvery == abandonEvery-1 && abandon() {
+			return nil, false
+		}
 		found := false
 		for i := range w {
-			if !comp.EnabledEvent(w, i) {
+			if down && !comp.MaximalEvent(w, i) || !down && !comp.EnabledEvent(w, i) {
 				continue
 			}
-			w[i]++
+			w[i] += delta
 			st.cuts(1)
 			st.evals(1)
 			if p.Eval(comp, w) {
-				path = append(path, w.Copy())
+				steps = append(steps, int32(i))
 				found = true
 				break
 			}
-			w[i]--
+			w[i] -= delta
 		}
 		if !found {
 			return nil, false
 		}
 		st.advance(1)
 	}
-	return path, true
+	// Step 7 is implicit: the walk only reaches its end through satisfying
+	// cuts.
+	if down {
+		slices.Reverse(steps)
+	}
+	return steps, true
+}
+
+// walkPath lays out the path of a successful egWalk: the cut sequence that
+// starts at ∅ and adds one event of process steps[t] at step t, in one
+// row-major slab. Each cut is capacity-capped to its row, and the path has
+// room for one more cut (A3 appends I_q).
+func walkPath(n int, steps []int32) []computation.Cut {
+	slab := make([]int, (len(steps)+1)*n)
+	path := make([]computation.Cut, len(steps)+1, len(steps)+2)
+	path[0] = slab[:n:n]
+	for t, i := range steps {
+		row := slab[(t+1)*n : (t+2)*n : (t+2)*n]
+		copy(row, path[t])
+		row[i]++
+		path[t+1] = row
+	}
+	return path
 }
 
 // EGLinearBacktracking is the ablation counterpart of A1: instead of

@@ -23,23 +23,7 @@ func AGLinear(comp *computation.Computation, p predicate.Predicate) (counterexam
 }
 
 func agLinear(comp *computation.Computation, p predicate.Predicate, st *Stats) (counterexample computation.Cut, ok bool) {
-	final := comp.FinalCut()
-	st.cuts(1)
-	st.evals(1)
-	if !p.Eval(comp, final) {
-		return final, false
-	}
-	for i := 0; i < comp.N(); i++ {
-		for _, e := range comp.Events(i) {
-			m := comp.UpSetComplement(e)
-			st.cuts(1)
-			st.evals(1)
-			if !p.Eval(comp, m) {
-				return m, false
-			}
-		}
-	}
-	return nil, true
+	return irreducibleSweep(comp, p, st, 1, true)
 }
 
 // AGPostLinear is the dual of Algorithm A2: a post-linear predicate is
@@ -51,23 +35,63 @@ func AGPostLinear(comp *computation.Computation, p predicate.Predicate) (counter
 }
 
 func agPostLinear(comp *computation.Computation, p predicate.Predicate, st *Stats) (counterexample computation.Cut, ok bool) {
-	initial := comp.InitialCut()
-	st.cuts(1)
-	st.evals(1)
-	if !p.Eval(comp, initial) {
-		return initial, false
+	return irreducibleSweep(comp, p, st, 1, false)
+}
+
+// irreducibleSweep is the one kernel of Algorithm A2 (meet) and its
+// post-linear dual (!meet): p must hold at the top E (the bottom ∅) and at
+// each of the |E| meet-irreducible cuts E − ↑e (join-irreducible cuts ↓e),
+// swept in the canonical event order over up to workers goroutines. Each
+// worker reuses one scratch cut — a MeetWalk, or a copy of e's clock row —
+// so the sweep allocates nothing per cut; only the counterexample, the
+// first failing cut in canonical order, is materialized. Stats are derived
+// from the hit index, so they equal the inline sweep's at every worker
+// count.
+func irreducibleSweep(comp *computation.Computation, p predicate.Predicate, st *Stats, workers int, meet bool) (counterexample computation.Cut, ok bool) {
+	top := comp.InitialCut()
+	if meet {
+		top = comp.FinalCut()
 	}
-	for i := 0; i < comp.N(); i++ {
-		for _, e := range comp.Events(i) {
-			j := comp.DownSet(e)
-			st.cuts(1)
-			st.evals(1)
-			if !p.Eval(comp, j) {
-				return j, false
-			}
+	if !p.Eval(comp, top) {
+		st.cuts(1)
+		st.evals(1)
+		return top, false
+	}
+	total := comp.TotalEvents()
+	hit := sweep(total, workers, func(func(int) bool) func(int) bool {
+		var walk *computation.MeetWalk
+		var down computation.Cut
+		if meet {
+			walk = comp.NewMeetWalk()
+		} else {
+			down = computation.NewCut(comp.N())
 		}
+		at := eventCursor{comp: comp}
+		return func(idx int) bool {
+			i, k := at.locate(idx)
+			c := down
+			if meet {
+				c = walk.At(i, k)
+			} else {
+				copy(down, comp.Event(i, k).Clock)
+			}
+			return !p.Eval(comp, c)
+		}
+	})
+	if hit == total {
+		st.cuts(int64(total) + 1)
+		st.evals(int64(total) + 1)
+		return nil, true
 	}
-	return nil, true
+	// The top cut plus irreducibles 0..hit: exactly the inline sweep's work.
+	st.cuts(int64(hit) + 2)
+	st.evals(int64(hit) + 2)
+	at := eventCursor{comp: comp}
+	e := comp.Event(at.locate(hit))
+	if meet {
+		return comp.UpSetComplement(e), false
+	}
+	return comp.DownSet(e), false
 }
 
 // MeetIrreducibles returns the meet-irreducible cuts of the lattice of comp

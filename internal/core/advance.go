@@ -51,9 +51,11 @@ func leastCut(comp *computation.Computation, p predicate.Linear, st *Stats) (com
 		if cut[i] >= comp.Len(i) {
 			return nil, false // forbidden process has no more events
 		}
-		next := comp.Event(i, cut[i]+1)
-		// Advance to the least consistent cut containing cut ∪ {next}.
-		cut = computation.Join(cut, comp.DownSet(next))
+		// Advance to the least consistent cut containing cut ∪ {next}:
+		// join next's clock into the cut in place.
+		for j, need := range comp.Event(i, cut[i]+1).Clock {
+			cut[j] = max(cut[j], need)
+		}
 		st.advance(1)
 		st.cuts(1)
 		st.evals(1)
@@ -83,10 +85,10 @@ func greatestCut(comp *computation.Computation, p predicate.PostLinear, st *Stat
 		if cut[i] == 0 {
 			return nil, false // retreat process already at its initial state
 		}
-		last := comp.Event(i, cut[i])
-		// Remove last and its causal up-set: the greatest consistent cut
-		// below cut excluding last is cut ⊓ (E − ↑last).
-		cut = computation.Meet(cut, comp.UpSetComplement(last))
+		// Remove the last event and its causal up-set: the greatest
+		// consistent cut below cut excluding it is cut ⊓ (E − ↑last),
+		// computed in place.
+		comp.MeetUpSetComplement(cut, comp.Event(i, cut[i]))
 		st.advance(1)
 		st.cuts(1)
 		st.evals(1)

@@ -56,8 +56,8 @@ func runDetect(comp *computation.Computation, f ctl.Formula, workers int) (Resul
 	st.WitnessLength = len(r.Witness)
 	r.Stats = st
 	st.publish()
-	emitSpan(f.String(), r, st)
-	emitSlow(f.String(), r, st)
+	emitSpan(f, r, st)
+	emitSlow(f, r, st)
 	return r, nil
 }
 
@@ -345,9 +345,10 @@ func detectEU(comp *computation.Computation, p, q *pir.Pred, st *Stats, workers 
 	st.choice(c)
 	switch c.Kind {
 	case pir.KindUntilA3:
-		cp, _ := p.Conjunctive()
+		// p is evaluated in its bound (bitset) form, like q.
+		lp, _ := p.Bind(comp).Linear()
 		lq, _ := q.Bind(comp).Linear()
-		path, holds := euConjLinearParallel(comp, cp, lq, st, workers)
+		path, holds := euConjLinearParallel(comp, lp, lq, st, workers)
 		return Result{Holds: holds, Algorithm: c.Algorithm, Witness: path}
 	case pir.KindUntilSplitOr:
 		// The target distributes over disjunction for existential until:

@@ -6,27 +6,27 @@ package core
 // independent sub-problems: Algorithm A2 evaluates the predicate at |E|
 // meet-irreducible cuts that depend only on one event each, its dual scans
 // the |E| join-irreducible cuts, and step 2 of Algorithm A3 runs an
-// independent EG check on each frontier sub-computation of I_q. This file
-// shards those sweeps over a small worker pool, bounded by GOMAXPROCS by
-// default, while keeping every observable output — verdict, witness or
-// counterexample cut, and Stats totals — bit-identical to the sequential
-// algorithms at every worker count.
+// independent EG check below each frontier event of I_q. Each of them is
+// one kernel taking a worker count; workers = 1 runs the same code inline.
+// Sweeps shard over a small worker pool, bounded by GOMAXPROCS by default,
+// while keeping every observable output — verdict, witness or
+// counterexample cut, and Stats totals — bit-identical at every worker
+// count.
 //
 // Determinism rule: every sweep has a canonical sequential order (events
 // by process then position; frontier branches by process). The runner
 // returns the hit with the LOWEST index in that order, which is exactly
-// where the sequential left-to-right sweep would have stopped. Early
-// cancellation uses a shared atomic upper bound holding the best (lowest)
-// hit index found so far: workers abandon indices at or above the bound,
-// but always finish indices below it, so the minimum is exact and does not
-// depend on worker count or goroutine scheduling.
+// where the inline left-to-right sweep stops. Early cancellation uses a
+// shared atomic upper bound holding the best (lowest) hit index found so
+// far: workers abandon indices at or above the bound, but always finish
+// indices below it, so the minimum is exact and does not depend on worker
+// count or goroutine scheduling.
 //
 // Stats discipline: workers never touch a shared Stats (the hot loops stay
-// atomic-free). Sub-problem runs collect into per-worker Stats values that
-// are merged after the join — and only the sub-problems the sequential
-// sweep would have executed (indices up to and including the winning hit)
-// are merged, so the published totals are deterministic and equal the
-// sequential run's. Work performed above the winning index during the
+// atomic-free). The irreducible sweeps derive their counters from the hit
+// index; A3 collects per-branch Stats and merges, after the join, only the
+// branches the inline run executes (indices up to and including the
+// winning hit). Work performed above the winning index during the
 // cancellation window is deliberately not counted: it is scheduling noise,
 // and counting it would make Stats depend on worker count.
 
@@ -49,27 +49,40 @@ func normWorkers(workers int) int {
 	return workers
 }
 
-// flatEvents returns every event in the canonical sweep order of the
-// irreducible-cut algorithms — by process, then by position. The index
-// into this slice is the determinism key of the parallel sweeps.
-func flatEvents(comp *computation.Computation) []*computation.Event {
-	out := make([]*computation.Event, 0, comp.TotalEvents())
-	for i := 0; i < comp.N(); i++ {
-		out = append(out, comp.Events(i)...)
-	}
-	return out
+// eventCursor maps canonical sweep indices (events by process, then
+// position) to events as (process, 1-based index). Lookups with
+// non-decreasing indices cost amortized O(1); a smaller index rewinds.
+type eventCursor struct {
+	comp       *computation.Computation
+	proc, base int // base is the sweep index of event (proc, 1)
 }
 
-// sweepFirst is the worker-pool runner behind the parallel sweeps: it
-// searches [0, total) for the lowest index whose probe reports a hit,
-// sharding the range over at most workers goroutines in contiguous blocks.
-// probe must be safe for concurrent calls on distinct indices; each index
-// is probed by exactly one worker. It returns total when no probe hits.
-func sweepFirst(total, workers int, probe func(idx int) bool) int {
+func (c *eventCursor) locate(idx int) (proc, k int) {
+	if idx < c.base {
+		c.proc, c.base = 0, 0
+	}
+	for idx >= c.base+c.comp.Len(c.proc) {
+		c.base += c.comp.Len(c.proc)
+		c.proc++
+	}
+	return c.proc, idx - c.base + 1
+}
+
+// sweep is the worker-pool runner behind the sweep-shaped kernels: it
+// returns the lowest index in [0, total) whose probe reports a hit, or
+// total when none does. The range is sharded over at most workers
+// goroutines in contiguous blocks; with one worker it runs inline. Every
+// worker, the inline one included, builds its own probe with newProbe, so
+// a probe may keep per-worker scratch; it is called with increasing
+// indices, each index by exactly one worker. lost(idx) reports that a
+// lower hit already decides the sweep, so idx cannot win; long-running
+// probes poll it to abandon their work.
+func sweep(total, workers int, newProbe func(lost func(idx int) bool) func(idx int) bool) int {
 	if workers > total {
 		workers = total
 	}
 	if workers <= 1 {
+		probe := newProbe(func(int) bool { return false })
 		for i := 0; i < total; i++ {
 			if probe(i) {
 				return i
@@ -81,14 +94,16 @@ func sweepFirst(total, workers int, probe func(idx int) bool) int {
 	// cannot win, so workers skip them — the cancellation signal.
 	var bound atomic.Int64
 	bound.Store(int64(total))
+	lost := func(idx int) bool { return int64(idx) >= bound.Load() }
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := w*total/workers, (w+1)*total/workers
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			probe := newProbe(lost)
 			for i := lo; i < hi; i++ {
-				if int64(i) >= bound.Load() {
+				if lost(i) {
 					return
 				}
 				if !probe(i) {
@@ -108,31 +123,9 @@ func sweepFirst(total, workers int, probe func(idx int) bool) int {
 	return int(bound.Load())
 }
 
-// blockFill runs fill over [0, total) sharded in contiguous blocks across
-// at most workers goroutines — the batch-construction counterpart of
-// sweepFirst (no early exit, every index runs exactly once).
-func blockFill(total, workers int, fill func(idx int)) {
-	if workers > total {
-		workers = total
-	}
-	if workers <= 1 {
-		for i := 0; i < total; i++ {
-			fill(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*total/workers, (w+1)*total/workers
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fill(i)
-			}
-		}()
-	}
-	wg.Wait()
+// sweepFirst is sweep with one stateless probe shared by every worker.
+func sweepFirst(total, workers int, probe func(idx int) bool) int {
+	return sweep(total, workers, func(func(int) bool) func(int) bool { return probe })
 }
 
 // DetectParallel is Detect with a parallel execution budget: the
@@ -154,35 +147,7 @@ func AGLinearParallel(comp *computation.Computation, p predicate.Predicate, work
 }
 
 func agLinearParallel(comp *computation.Computation, p predicate.Predicate, st *Stats, workers int) (counterexample computation.Cut, ok bool) {
-	if workers <= 1 {
-		return agLinear(comp, p, st)
-	}
-	final := comp.FinalCut()
-	if !p.Eval(comp, final) {
-		st.cuts(1)
-		st.evals(1)
-		return final, false
-	}
-	evs := flatEvents(comp)
-	hits := make([]computation.Cut, len(evs))
-	k := sweepFirst(len(evs), workers, func(i int) bool {
-		m := comp.UpSetComplement(evs[i])
-		if p.Eval(comp, m) {
-			return false
-		}
-		hits[i] = m
-		return true
-	})
-	if k < len(evs) {
-		// Determinized accounting: the final cut plus irreducibles 0..k —
-		// exactly the sequential sweep's work, independent of worker count.
-		st.cuts(int64(k) + 2)
-		st.evals(int64(k) + 2)
-		return hits[k], false
-	}
-	st.cuts(int64(len(evs)) + 1)
-	st.evals(int64(len(evs)) + 1)
-	return nil, true
+	return irreducibleSweep(comp, p, st, workers, true)
 }
 
 // AGPostLinearParallel is the dual of AGLinearParallel: the |E|
@@ -192,33 +157,7 @@ func AGPostLinearParallel(comp *computation.Computation, p predicate.Predicate, 
 }
 
 func agPostLinearParallel(comp *computation.Computation, p predicate.Predicate, st *Stats, workers int) (counterexample computation.Cut, ok bool) {
-	if workers <= 1 {
-		return agPostLinear(comp, p, st)
-	}
-	initial := comp.InitialCut()
-	if !p.Eval(comp, initial) {
-		st.cuts(1)
-		st.evals(1)
-		return initial, false
-	}
-	evs := flatEvents(comp)
-	hits := make([]computation.Cut, len(evs))
-	k := sweepFirst(len(evs), workers, func(i int) bool {
-		j := comp.DownSet(evs[i])
-		if p.Eval(comp, j) {
-			return false
-		}
-		hits[i] = j
-		return true
-	})
-	if k < len(evs) {
-		st.cuts(int64(k) + 2)
-		st.evals(int64(k) + 2)
-		return hits[k], false
-	}
-	st.cuts(int64(len(evs)) + 1)
-	st.evals(int64(len(evs)) + 1)
-	return nil, true
+	return irreducibleSweep(comp, p, st, workers, false)
 }
 
 // EUConjLinearParallel is Algorithm A3 with step 2's per-frontier-event EG
@@ -230,83 +169,42 @@ func EUConjLinearParallel(comp *computation.Computation, p predicate.Conjunctive
 	return euConjLinearParallel(comp, p, q, nil, normWorkers(workers))
 }
 
-func euConjLinearParallel(comp *computation.Computation, p predicate.Conjunctive, q predicate.Linear, st *Stats, workers int) (path []computation.Cut, ok bool) {
-	if workers <= 1 {
-		return euConjLinear(comp, p, q, st)
-	}
-	// Step 1: find I_q (sequential; shares st with the caller directly).
-	iq, ok := leastCut(comp, q, st)
-	if !ok {
-		return nil, false
-	}
-	if iq.Equal(comp.InitialCut()) {
-		return []computation.Cut{iq}, true
-	}
-	// Step 2: the frontier sub-computations, in the sequential branch
-	// order. Prefixes share storage with comp; the branches below only
-	// read them (the -race cross-validation matrix pins this).
-	var subs []*computation.Computation
-	for i := range iq {
-		if !comp.MaximalEvent(iq, i) {
-			continue
-		}
-		g := iq.Copy()
-		g[i]--
-		subs = append(subs, comp.Prefix(g))
-	}
-	paths := make([][]computation.Cut, len(subs))
-	stats := make([]Stats, len(subs))
-	k := sweepFirst(len(subs), workers, func(b int) bool {
-		egPath, holds := egLinear(subs[b], p, &stats[b])
-		paths[b] = egPath
-		return holds
-	})
-	// Merge the per-branch stats the sequential run would have produced:
-	// branches strictly below the winner always run to completion (the
-	// bound can never drop below a losing branch's index), so their
-	// counters are complete.
-	last := k
-	if last >= len(subs) {
-		last = len(subs) - 1
-	}
-	for b := 0; b <= last; b++ {
-		st.merge(&stats[b])
-	}
-	if k >= len(subs) {
-		return nil, false
-	}
-	full := make([]computation.Cut, 0, len(paths[k])+1)
-	for _, c := range paths[k] {
-		full = append(full, c.Copy())
-	}
-	return append(full, iq), true
-}
-
 // MeetIrreduciblesParallel constructs the meet-irreducible cuts E − ↑e in
 // the same order as MeetIrreducibles, with the per-event Birkhoff formula
 // evaluated across up to workers goroutines (<= 0 means GOMAXPROCS).
 func MeetIrreduciblesParallel(comp *computation.Computation, workers int) []computation.Cut {
-	evs := flatEvents(comp)
-	if len(evs) == 0 {
-		return nil
-	}
-	out := make([]computation.Cut, len(evs))
-	blockFill(len(evs), normWorkers(workers), func(i int) {
-		out[i] = comp.UpSetComplement(evs[i])
-	})
-	return out
+	return irreducibles(comp, workers, true)
 }
 
 // JoinIrreduciblesParallel constructs the join-irreducible cuts ↓e in the
 // same order as JoinIrreducibles across up to workers goroutines.
 func JoinIrreduciblesParallel(comp *computation.Computation, workers int) []computation.Cut {
-	evs := flatEvents(comp)
-	if len(evs) == 0 {
+	return irreducibles(comp, workers, false)
+}
+
+// irreducibles materializes every meet- (join-) irreducible cut in the
+// canonical event order: a sweep whose probe never hits.
+func irreducibles(comp *computation.Computation, workers int, meet bool) []computation.Cut {
+	total := comp.TotalEvents()
+	if total == 0 {
 		return nil
 	}
-	out := make([]computation.Cut, len(evs))
-	blockFill(len(evs), normWorkers(workers), func(i int) {
-		out[i] = comp.DownSet(evs[i])
+	out := make([]computation.Cut, total)
+	sweep(total, normWorkers(workers), func(func(int) bool) func(int) bool {
+		var walk *computation.MeetWalk
+		if meet {
+			walk = comp.NewMeetWalk()
+		}
+		at := eventCursor{comp: comp}
+		return func(idx int) bool {
+			i, k := at.locate(idx)
+			if meet {
+				out[idx] = walk.At(i, k).Copy()
+			} else {
+				out[idx] = comp.DownSet(comp.Event(i, k))
+			}
+			return false
+		}
 	})
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ctl"
 	"repro/internal/obs"
 	"repro/internal/pir"
 )
@@ -197,15 +198,16 @@ type slowDetection struct {
 
 // emitSlow records the run in the slow-detection log when its duration
 // crosses the threshold. One atomic load plus a comparison on the fast
-// path; the record is only built for genuinely slow runs.
-func emitSlow(formula string, r Result, st *Stats) {
+// path; the record, formula rendering included, is only built for
+// genuinely slow runs.
+func emitSlow(f ctl.Formula, r Result, st *Stats) {
 	sl := slowLog.Load()
 	if !sl.Exceeds(st.Duration) {
 		return
 	}
 	rec := slowDetection{
 		TS:         time.Now().UTC().Format(time.RFC3339Nano),
-		Formula:    formula,
+		Formula:    f.String(),
 		Algorithm:  st.Algorithm,
 		Holds:      r.Holds,
 		DurationUS: st.Duration.Microseconds(),
@@ -217,14 +219,16 @@ func emitSlow(formula string, r Result, st *Stats) {
 	sl.Record(rec)
 }
 
-func emitSpan(formula string, r Result, st *Stats) {
+// emitSpan records the run as one span when a tracer is installed; the
+// formula is rendered only then.
+func emitSpan(f ctl.Formula, r Result, st *Stats) {
 	t := tracer.Load()
 	if t == nil {
 		return
 	}
 	// The run is already over: backdate the start so the span covers it.
 	sp := t.StartAt("detect", obs.SpanContext{}, time.Now().Add(-st.Duration))
-	sp.Set("formula", formula)
+	sp.Set("formula", f.String())
 	sp.Set("algorithm", st.Algorithm)
 	sp.Set("holds", r.Holds)
 	sp.Set("cuts_visited", st.CutsVisited)

@@ -22,33 +22,59 @@ func EUConjLinear(comp *computation.Computation, p predicate.Conjunctive, q pred
 	return euConjLinear(comp, p, q, nil)
 }
 
-func euConjLinear(comp *computation.Computation, p predicate.Conjunctive, q predicate.Linear, st *Stats) (path []computation.Cut, ok bool) {
-	// Step 1: find I_q.
+func euConjLinear(comp *computation.Computation, p predicate.Predicate, q predicate.Linear, st *Stats) (path []computation.Cut, ok bool) {
+	return euConjLinearParallel(comp, p, q, st, 1)
+}
+
+// euConjLinearParallel is the one kernel of Algorithm A3; p is evaluated as
+// given, so detection passes the bound (bitset) form of the conjunctive
+// predicate. Step 2's branches — A1 from I_q − e for each maximal event e
+// of I_q, in process order — run over up to workers goroutines, each on a
+// scratch cut of comp itself: a down walk from g only visits cuts below g,
+// where comp and comp.Prefix(g) agree, so no sub-computation is built.
+//
+// The witness is the one of the first succeeding branch in process order,
+// laid out once the sweep has decided it. A branch above a succeeding one
+// can no longer win, so it abandons its walk at the next periodic poll.
+// Per-branch Stats are merged only for the branches the inline run
+// executes (up to and including the winner), which always run to
+// completion, so the totals equal the inline run's at every worker count.
+func euConjLinearParallel(comp *computation.Computation, p predicate.Predicate, q predicate.Linear, st *Stats, workers int) (path []computation.Cut, ok bool) {
+	// Step 1: find I_q (inherently sequential; shares st with the caller).
 	iq, ok := leastCut(comp, q, st)
 	if !ok {
 		return nil, false // q holds nowhere, so no until-prefix can end
 	}
-	if iq.Equal(comp.InitialCut()) {
+	if iq.Size() == 0 {
 		return []computation.Cut{iq}, true // q holds initially (k = 0 prefix)
 	}
-	// Step 2: EG(p) on each one-event-smaller prefix of I_q.
+	// Step 2: EG(p) below each maximal event of I_q.
+	var branches []int
 	for i := range iq {
-		if !comp.MaximalEvent(iq, i) {
-			continue
-		}
-		g := iq.Copy()
-		g[i]--
-		sub := comp.Prefix(g)
-		if egPath, holds := egLinear(sub, p, st); holds {
-			// Extend the witness through I_q itself.
-			full := make([]computation.Cut, 0, len(egPath)+1)
-			for _, c := range egPath {
-				full = append(full, c.Copy())
-			}
-			return append(full, iq), true
+		if comp.MaximalEvent(iq, i) {
+			branches = append(branches, i)
 		}
 	}
-	return nil, false
+	steps := make([][]int32, len(branches))
+	stats := make([]Stats, len(branches))
+	k := sweep(len(branches), workers, func(lost func(int) bool) func(int) bool {
+		w := computation.NewCut(len(iq))
+		return func(b int) bool {
+			copy(w, iq)
+			w[branches[b]]--
+			var holds bool
+			steps[b], holds = egWalk(comp, p, w, true, &stats[b], func() bool { return lost(b) })
+			return holds
+		}
+	})
+	for b := 0; b <= min(k, len(branches)-1); b++ {
+		st.merge(&stats[b])
+	}
+	if k == len(branches) {
+		return nil, false
+	}
+	// Only the winner's path is laid out; extend it through I_q itself.
+	return append(walkPath(len(iq), steps[k]), iq), true
 }
 
 // (The footnote to Theorem 7 is honored by construction: EUConjLinear only

@@ -36,7 +36,17 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		// Shutdown sets draining under lnMu before it waits on wg, so
+		// an Add made under lnMu while not draining happens before that
+		// Wait; a connection accepted after draining began is refused.
+		s.lnMu.Lock()
+		if s.draining.Load() {
+			s.lnMu.Unlock()
+			conn.Close()
+			continue
+		}
 		s.wg.Add(1)
+		s.lnMu.Unlock()
 		go s.handleConn(conn)
 	}
 }

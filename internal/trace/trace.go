@@ -11,7 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
 
 	"repro/internal/computation"
 )
@@ -151,14 +151,9 @@ func Build(f File) (*computation.Computation, error) {
 			return nil, fmt.Errorf("trace: event %d has unknown kind %q", idx, rec.Kind)
 		}
 		e.Label = rec.Label
-		// Apply variable assignments in deterministic order.
-		names := make([]string, 0, len(rec.Sets))
-		for name := range rec.Sets {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			computation.Set(e, name, rec.Sets[name])
+		// The event owns a copy of its assignments.
+		if len(rec.Sets) > 0 {
+			e.Sets = maps.Clone(rec.Sets)
 		}
 	}
 	comp, err := b.Build()
