@@ -3,8 +3,10 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,40 +15,32 @@ import (
 	"repro/internal/server"
 )
 
-// fuzzNode is the shared single-node cluster FuzzReplProtocol hammers;
-// one per process keeps iterations cheap, and the per-iteration
+// fuzzCluster starts the single-node cluster FuzzReplProtocol hammers,
+// shut down when the fuzz target finishes. One node serves every
+// iteration, which keeps iterations cheap, and the per-iteration
 // handshake doubles as the liveness probe — if a previous input wedged
 // the replica handler, the next repl-welcome never arrives.
-var (
-	fuzzNodeOnce sync.Once
-	fuzzNodeAddr string
-	fuzzNode     *cluster.Node
-)
-
 func fuzzCluster(f *testing.F) string {
-	fuzzNodeOnce.Do(func() {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			f.Fatal(err)
-		}
-		id := ln.Addr().String()
-		reg := obs.NewRegistry()
-		fuzzNode, err = cluster.New(
-			server.Config{Registry: reg, ReadTimeout: time.Second, IdleTimeout: time.Second},
-			cluster.NodeConfig{Self: id, Peers: []string{id}, Replicas: 2, Registry: reg},
-		)
-		if err != nil {
-			f.Fatal(err)
-		}
-		go fuzzNode.Serve(ln) //nolint:errcheck // closed by Shutdown
-		fuzzNodeAddr = id
-	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	id := ln.Addr().String()
+	reg := obs.NewRegistry()
+	node, err := cluster.New(
+		server.Config{Registry: reg, ReadTimeout: time.Second, IdleTimeout: time.Second},
+		cluster.NodeConfig{Self: id, Peers: []string{id}, Replicas: 2, Registry: reg},
+	)
+	if err != nil {
+		f.Fatal(err)
+	}
+	go node.Serve(ln) //nolint:errcheck // closed by Shutdown
 	f.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		fuzzNode.Shutdown(ctx) //nolint:errcheck
+		node.Shutdown(ctx) //nolint:errcheck
 	})
-	return fuzzNodeAddr
+	return id
 }
 
 // FuzzReplProtocol throws arbitrary bytes at the replica side of the
@@ -98,6 +92,7 @@ func FuzzReplProtocol(f *testing.F) {
 	f.Add(cat(open("k", "1"), replFrame("k", 1, []byte{server.FrameMagic, 0x01, 0x00, 0xff})))
 	f.Add(cat(open("k", "1"), replFrame("k", 1, []byte(`{"type":"snapshot","seq":1,"formula":"EF(x@P1 == 1)"}`))))
 	addr := fuzzCluster(f)
+	var sentinelEpoch atomic.Int64 // the last sentinel incarnation
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -113,12 +108,28 @@ func FuzzReplProtocol(f *testing.F) {
 		if !sc.Scan() {
 			t.Fatalf("no repl-welcome: the previous input wedged the replica handler (%v)", sc.Err())
 		}
-		conn.Write(data) //nolint:errcheck // the node may reject mid-write
-		// Drain replies until the node closes the link or a short quiet
-		// deadline; the scanner bounds every frame exactly as serveRepl's
-		// peer would see it.
+		// After the input, a sentinel: a repl-open plus one repl-frame for a
+		// fresh incarnation of the sentinel key (a new epoch each
+		// iteration fences the previous one's log, so the node holds one
+		// sentinel log, not one per iteration). Its repl-ack proves the
+		// handler consumed everything before it, so the iteration ends
+		// there instead of waiting out the quiet deadline. The deadline
+		// still ends an iteration whose input swallowed the sentinel (a
+		// truncated frame reading it as its own body).
+		epoch := sentinelEpoch.Add(1)
+		conn.Write(cat(data, open("sentinel", fmt.Sprint(epoch)), frame("sentinel", epoch, 1))) //nolint:errcheck // the node may reject mid-write
+		// Drain replies until the sentinel's ack, the node closing the
+		// link, or a short quiet deadline; the scanner bounds every frame
+		// exactly as serveRepl's peer would see it.
 		conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		for sc.Scan() {
+			var m struct {
+				Type, Session string
+				Epoch, Seq    int64
+			}
+			if !sc.Binary() && json.Unmarshal(sc.Bytes(), &m) == nil && m.Type == "repl-ack" && m.Session == "sentinel" && m.Epoch == epoch && m.Seq == 1 {
+				return
+			}
 		}
 	})
 }

@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/computation"
@@ -43,6 +44,59 @@ func BenchmarkEFWatchWide(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(6*rounds), "events/op")
+		})
+	}
+}
+
+// BenchmarkMonitorLatchedWatches measures per-event cost beside a growing
+// number of watches that have already latched: 0, 200 or 2000 EF and AG
+// watches spread over four processes, each latched by a warm-up event,
+// next to a live EF watch kept busy by head elimination (the ping-pong
+// of wideEliminationRounds) and a live AG watch. Latched watches are
+// retired from dispatch, so ns/event and allocs/event should not depend
+// on their number.
+func BenchmarkMonitorLatchedWatches(b *testing.B) {
+	const procs = 4
+	for _, latched := range []int{0, 200, 2000} {
+		b.Run(fmt.Sprintf("L%d", latched), func(b *testing.B) {
+			m := NewBoundedMonitor(procs)
+			for i := 0; i < latched; i++ {
+				if p := i % procs; i%2 == 0 {
+					m.WatchEF(Cmp(p, "warm", "==", 1))
+				} else {
+					m.WatchAG(Cmp(p, "warm", "==", 0))
+				}
+			}
+			live := m.WatchEF(Cmp(0, "flag", "==", 1), Cmp(1, "flag", "==", 1))
+			m.WatchAG(Cmp(0, "flag", "<=", 1))
+			warm := map[string]int{"warm": 1}
+			for p := 0; p < procs; p++ {
+				m.Internal(p, warm)
+			}
+			flag1, flag0 := map[string]int{"flag": 1}, map[string]int{"flag": 0}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ { // one ping-pong round: 6 events
+				m.Internal(0, flag1)
+				id := m.Send(0, flag0)
+				if err := m.Receive(1, id, nil); err != nil {
+					b.Fatal(err)
+				}
+				m.Internal(1, flag1)
+				id = m.Send(1, flag0)
+				if err := m.Receive(0, id, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if live.Fired() {
+				b.Fatal("live watch fired mid-churn")
+			}
+			events := float64(6 * b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
 		})
 	}
 }

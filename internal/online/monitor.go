@@ -63,11 +63,41 @@ type Monitor struct {
 	// Snapshot — and with it Detect — is unavailable.
 	bounded bool
 
-	efWatches     []*EFWatch
-	agWatches     []*AGWatch
-	stableWatches []*StableWatch
+	// Watch dispatch. onProc[i] lists the pending EF and AG watches that
+	// constrain process i: an event on i can change no other EF or AG
+	// verdict, so step notifies only these. stable lists the pending
+	// frontier watches, evaluated after every event. A watch leaves every
+	// list the moment it latches, so per-event cost tracks the watches
+	// the event can still affect, not every watch ever registered.
+	onProc [][]slot
+	stable []*StableWatch
+
+	// Running totals, kept as they change so that Events, Retained and
+	// the gauges cost O(1): events observed, watches registered and still
+	// awaiting a verdict, and candidates queued across the EF cursors.
+	events  int
+	pending int
+	queued  int
 
 	met *monMetrics // nil unless Instrument was called
+}
+
+// procWatch is a watch dispatched per constrained process: EFWatch and
+// AGWatch.
+type procWatch interface {
+	// observe takes the new local state of the watch's k-th constrained
+	// process and reports whether the watch latched.
+	observe(m *Monitor, k int) bool
+	// slots returns the watch's constrained processes and its position
+	// in each of their dispatch lists.
+	slots() *dispatch
+}
+
+// slot is one entry of a process's dispatch list: a watch and the index
+// of that process among the watch's constrained processes.
+type slot struct {
+	w procWatch
+	k int
 }
 
 type sendInfo struct {
@@ -95,6 +125,7 @@ func NewMonitor(n int) *Monitor {
 		initVals:    make([]map[string]int, n),
 		stateClocks: make([][]vclock.VC, n),
 		sends:       make(map[int]sendInfo),
+		onProc:      make([][]slot, n),
 	}
 	for i := 0; i < n; i++ {
 		m.clocks[i] = vclock.New(n)
@@ -129,13 +160,38 @@ func (m *Monitor) Bounded() bool { return m.bounded }
 // retained-state bound.
 func (m *Monitor) Retained() int {
 	if !m.bounded {
-		return m.Events()
+		return m.events
 	}
-	total := 0
-	for _, w := range m.efWatches {
-		total += w.cur.Retained()
+	return m.queued
+}
+
+// enlist adds a pending EF or AG watch to the dispatch list of every
+// process it constrains.
+func (m *Monitor) enlist(w procWatch) {
+	d := w.slots()
+	d.pos = make([]int, len(d.procs))
+	for k, p := range d.procs {
+		d.pos[k] = len(m.onProc[p])
+		m.onProc[p] = append(m.onProc[p], slot{w: w, k: k})
 	}
-	return total
+	m.pending++
+}
+
+// retire removes a latched watch from every dispatch list it is on,
+// moving each list's last entry into the vacated position. Dispatch order
+// within a list carries no meaning: watches never read each other.
+func (m *Monitor) retire(w procWatch) {
+	d := w.slots()
+	for k, p := range d.procs {
+		list := m.onProc[p]
+		i, last := d.pos[k], len(list)-1
+		moved := list[last]
+		list[i] = moved
+		moved.w.slots().pos[moved.k] = i
+		list[last] = slot{}
+		m.onProc[p] = list[:last]
+	}
+	m.pending--
 }
 
 // startClock returns the vector clock of the event that began proc's
@@ -166,13 +222,7 @@ func (m *Monitor) checkProc(proc int) {
 }
 
 // Events returns the number of events observed so far.
-func (m *Monitor) Events() int {
-	total := 0
-	for _, l := range m.lens {
-		total += l
-	}
-	return total
-}
+func (m *Monitor) Events() int { return m.events }
 
 // EventsOn returns the number of events observed on one process. It
 // panics when proc is out of range.
@@ -252,6 +302,7 @@ func (m *Monitor) step(proc int, kind computation.Kind, msg int, sets map[string
 	}
 	m.clocks[proc].Tick(proc)
 	m.lens[proc]++
+	m.events++
 	for name, v := range sets {
 		m.vals[proc][name] = v
 	}
@@ -264,15 +315,28 @@ func (m *Monitor) step(proc int, kind computation.Kind, msg int, sets map[string
 		m.rec = append(m.rec, recEvent{proc: proc, kind: kind, msg: msg, sets: copied})
 	}
 
-	// Notify watches of the new local state.
-	for _, w := range m.efWatches {
-		w.observe(m, proc)
+	// Notify the pending watches the new local state can affect. A watch
+	// that latches is retired, which moves the list's last entry into
+	// position i; that entry is observed next.
+	for i := 0; i < len(m.onProc[proc]); {
+		s := m.onProc[proc][i]
+		if s.w.observe(m, s.k) {
+			m.retire(s.w)
+			continue
+		}
+		i++
 	}
-	for _, w := range m.agWatches {
-		w.observe(m, proc)
-	}
-	for _, w := range m.stableWatches {
-		w.observe(m)
+	if len(m.stable) > 0 {
+		live := m.stable[:0]
+		for _, w := range m.stable {
+			if w.observe(m) {
+				m.pending--
+			} else {
+				live = append(live, w)
+			}
+		}
+		clear(m.stable[len(live):])
+		m.stable = live
 	}
 
 	if m.met != nil {

@@ -2,6 +2,7 @@ package online
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/computation"
 	"repro/internal/core"
@@ -52,6 +53,48 @@ func (l LocalSpec) HoldsNow(m *Monitor) bool {
 	return l.Holds(m.vals[l.Proc])
 }
 
+// dispatch is the per-process part of an EF or AG watch: its conjuncts
+// grouped by constrained process, and the watch's position in the
+// monitor's dispatch list of each of those processes.
+type dispatch struct {
+	procs []int         // constrained processes, in first-mention order
+	specs [][]LocalSpec // specs[k]: the conjuncts on procs[k]
+	pos   []int         // pos[k]: index in the monitor's list for procs[k]
+}
+
+// groupLocals groups conjuncts by process. It panics on a process outside
+// the monitor.
+func (m *Monitor) groupLocals(locals []LocalSpec) dispatch {
+	var d dispatch
+	for _, l := range locals {
+		if l.Proc < 0 || l.Proc >= m.n {
+			panic(fmt.Sprintf("online: local predicate on unknown process %d", l.Proc))
+		}
+		k := slices.Index(d.procs, l.Proc)
+		if k < 0 {
+			k = len(d.procs)
+			d.procs = append(d.procs, l.Proc)
+			d.specs = append(d.specs, nil)
+		}
+		d.specs[k] = append(d.specs[k], l)
+	}
+	return d
+}
+
+func (d *dispatch) slots() *dispatch { return d }
+
+// failing returns the first conjunct on procs[k] that is false in the
+// process's current local state, or -1 when they all hold.
+func (d *dispatch) failing(m *Monitor, k int) int {
+	vals := m.vals[d.procs[k]]
+	for i, l := range d.specs[k] {
+		if !l.Holds(vals) {
+			return i
+		}
+	}
+	return -1
+}
+
 // EFWatch incrementally detects EF(p) for a conjunctive predicate p — the
 // Garg–Waldecker weak conjunctive predicate algorithm, with the queue and
 // elimination machinery living in the slice.Online cursor so the watch
@@ -59,8 +102,8 @@ func (l LocalSpec) HoldsNow(m *Monitor) bool {
 // The verdict latches: once a satisfying consistent cut exists in the
 // observed prefix it exists in every extension.
 type EFWatch struct {
-	specs map[int][]LocalSpec // conjuncts grouped by process
-	cur   *slice.Online
+	dispatch
+	cur *slice.Online
 }
 
 // WatchEF registers a conjunctive predicate given by its local conjuncts.
@@ -68,30 +111,23 @@ type EFWatch struct {
 // prefix satisfies every conjunct. An empty conjunct list fires
 // immediately (the empty conjunction holds at ∅).
 func (m *Monitor) WatchEF(locals ...LocalSpec) *EFWatch {
-	if m.Events() > 0 {
+	if m.events > 0 {
 		panic("online: WatchEF must be registered before events are observed")
 	}
-	w := &EFWatch{specs: make(map[int][]LocalSpec)}
-	var procs []int
-	for _, l := range locals {
-		if l.Proc < 0 || l.Proc >= m.n {
-			panic(fmt.Sprintf("online: local predicate on unknown process %d", l.Proc))
-		}
-		if _, seen := w.specs[l.Proc]; !seen {
-			procs = append(procs, l.Proc)
-		}
-		w.specs[l.Proc] = append(w.specs[l.Proc], l)
-	}
-	w.cur = slice.NewOnline(m.n, procs)
-	m.efWatches = append(m.efWatches, w)
+	w := &EFWatch{dispatch: m.groupLocals(locals)}
+	w.cur = slice.NewOnline(m.n, w.procs)
 	// Seed with the initial states (before any event) of the constrained
 	// processes whose conjuncts already hold.
-	for _, proc := range procs {
-		if m.lens[proc] == 0 && w.holdsAt(m, proc) {
+	for k, proc := range w.procs {
+		if w.failing(m, k) < 0 {
 			w.cur.Offer(proc, 0, nil)
 		}
 	}
 	w.advance(m)
+	m.queued += w.cur.Retained()
+	if !w.cur.Fired() {
+		m.enlist(w)
+	}
 	return w
 }
 
@@ -105,26 +141,21 @@ func (w *EFWatch) Cut() computation.Cut { return w.cur.Cut() }
 // its entire per-prefix memory (the slice frontier of the predicate).
 func (w *EFWatch) Retained() int { return w.cur.Retained() }
 
-func (w *EFWatch) holdsAt(m *Monitor, proc int) bool {
-	for _, l := range w.specs[proc] {
-		if !l.Holds(m.vals[proc]) {
-			return false
-		}
+// observe takes the new local state of procs[k] and reports whether the
+// watch latched. A state in which the process's conjuncts fail offers
+// nothing, and only an offer can give the cursor elimination work.
+func (w *EFWatch) observe(m *Monitor, k int) bool {
+	if w.failing(m, k) >= 0 {
+		return false
 	}
-	return true
-}
-
-// observe is called by the monitor after each event.
-func (w *EFWatch) observe(m *Monitor, proc int) {
-	if w.cur.Fired() {
-		return
-	}
-	if _, constrained := w.specs[proc]; constrained && w.holdsAt(m, proc) {
-		w.cur.Offer(proc, m.lens[proc], m.startClock(proc))
-	}
+	proc := w.procs[k]
+	before := w.cur.Retained()
+	w.cur.Offer(proc, m.lens[proc], m.startClock(proc))
 	if w.cur.Dirty() {
 		w.advance(m)
 	}
+	m.queued += w.cur.Retained() - before
+	return w.cur.Fired()
 }
 
 // advance runs cursor elimination to its fixed point and records a
@@ -142,7 +173,7 @@ func (w *EFWatch) advance(m *Monitor) {
 // in any local state, because every local state is exposed by a consistent
 // cut (the down-set of its starting event). The violation verdict latches.
 type AGWatch struct {
-	specs    map[int][]LocalSpec
+	dispatch
 	violated bool
 	badCut   computation.Cut
 	badLocal string
@@ -151,23 +182,17 @@ type AGWatch struct {
 // WatchAG registers an invariant given by its local conjuncts. The watch
 // reports a violation the moment one exists in the observed prefix.
 func (m *Monitor) WatchAG(locals ...LocalSpec) *AGWatch {
-	if m.Events() > 0 {
+	if m.events > 0 {
 		panic("online: WatchAG must be registered before events are observed")
 	}
-	w := &AGWatch{specs: make(map[int][]LocalSpec)}
-	for _, l := range locals {
-		if l.Proc < 0 || l.Proc >= m.n {
-			panic(fmt.Sprintf("online: local predicate on unknown process %d", l.Proc))
-		}
-		w.specs[l.Proc] = append(w.specs[l.Proc], l)
-	}
-	m.agWatches = append(m.agWatches, w)
-	// Check the initial states.
-	for proc := range w.specs {
-		if m.lens[proc] == 0 {
-			w.check(m, proc)
+	w := &AGWatch{dispatch: m.groupLocals(locals)}
+	// Check the initial states, in first-mention order.
+	for k := range w.procs {
+		if w.observe(m, k) {
+			return w
 		}
 	}
+	m.enlist(w)
 	return w
 }
 
@@ -179,30 +204,24 @@ func (w *AGWatch) Violated() bool { return w.violated }
 // Counterexample returns the violating cut and the failing conjunct name.
 func (w *AGWatch) Counterexample() (computation.Cut, string) { return w.badCut, w.badLocal }
 
-func (w *AGWatch) observe(m *Monitor, proc int) {
-	if w.violated {
-		return
+// observe checks the new local state of procs[k] and reports whether the
+// watch latched a violation.
+func (w *AGWatch) observe(m *Monitor, k int) bool {
+	i := w.failing(m, k)
+	if i < 0 {
+		return false
 	}
-	w.check(m, proc)
-}
-
-func (w *AGWatch) check(m *Monitor, proc int) {
-	for _, l := range w.specs[proc] {
-		if l.Holds(m.vals[proc]) {
-			continue
-		}
-		w.violated = true
-		if m.met != nil {
-			m.met.agViolated.Inc()
-		}
-		w.badLocal = l.Name
-		cut := computation.NewCut(m.n)
-		if start := m.startClock(proc); start != nil {
-			copy(cut, start)
-		}
-		w.badCut = cut
-		return
+	w.violated = true
+	if m.met != nil {
+		m.met.agViolated.Inc()
 	}
+	w.badLocal = w.specs[k][i].Name
+	cut := computation.NewCut(m.n)
+	if start := m.startClock(w.procs[k]); start != nil {
+		copy(cut, start)
+	}
+	w.badCut = cut
+	return true
 }
 
 // StableWatch evaluates a frontier predicate after every event; for a
@@ -220,8 +239,10 @@ type StableWatch struct {
 // func(m *Monitor) bool { return m.InFlight() == 0 && m.Value(0, "done") == 1 }.
 func (m *Monitor) WatchStable(name string, holds func(m *Monitor) bool) *StableWatch {
 	w := &StableWatch{Name: name, holds: holds}
-	m.stableWatches = append(m.stableWatches, w)
-	w.observe(m)
+	if !w.observe(m) {
+		m.stable = append(m.stable, w)
+		m.pending++
+	}
 	return w
 }
 
@@ -231,17 +252,18 @@ func (w *StableWatch) Fired() bool { return w.fired }
 // FiredAt returns the number of observed events when the watch fired.
 func (w *StableWatch) FiredAt() int { return w.at }
 
-func (w *StableWatch) observe(m *Monitor) {
-	if w.fired {
-		return
+// observe evaluates the predicate at the frontier and reports whether the
+// watch latched.
+func (w *StableWatch) observe(m *Monitor) bool {
+	if !w.holds(m) {
+		return false
 	}
-	if w.holds(m) {
-		w.fired = true
-		w.at = m.Events()
-		if m.met != nil {
-			m.met.stable.Inc()
-		}
+	w.fired = true
+	w.at = m.events
+	if m.met != nil {
+		m.met.stable.Inc()
 	}
+	return true
 }
 
 // Detect runs the offline dispatcher on a snapshot of the observed prefix

@@ -91,3 +91,53 @@ func TestApplyRowFramings(t *testing.T) {
 		t.Errorf("batch rows latched\n %q (%d events)\nwant\n %q (2 events)", got, events, want)
 	}
 }
+
+// TestVerdictsOnOneEventInWatchOrder latches several watches on one event
+// and requires their verdict frames in watch order with consecutive Idx,
+// whether the events arrive as single frames or as one batch. The
+// monitor retires latched watches from its dispatch lists in whatever
+// order it visits them; the session's frame order must not follow it.
+func TestVerdictsOnOneEventInWatchOrder(t *testing.T) {
+	watches := []server.Watch{
+		{Op: "EF", Pred: "x@P2 == 1"},
+		{Op: "AG", Pred: "x@P1 == 0"},
+		{Op: "EF", Pred: "x@P1 == 1"},
+		{Op: "STABLE", Pred: "x@P1 == 1"},
+		{Op: "AG", Pred: "x@P3 == 0 && x@P2 <= 0"},
+		{Op: "EF", Pred: "x@P1 == 1 && x@P2 == 1"},
+		{Op: "AG", Pred: "x@P3 == 0"},
+	}
+	want := "[1:w1@1 2:w2@1 3:w3@1 4:w0@2 5:w4@2 6:w5@2]"
+	b := &pir.Batch{}
+	b.AddEvent(1, pir.EvInternal, 0, map[string]int{"x": 1})
+	b.AddEvent(2, pir.EvInternal, 0, map[string]int{"x": 1})
+	for name, frames := range map[string][]server.ClientFrame{
+		"single": {
+			{Type: server.FrameEvent, Proc: 1, Kind: "internal", Sets: map[string]int{"x": 1}},
+			{Type: server.FrameEvent, Proc: 2, Kind: "internal", Sets: map[string]int{"x": 1}},
+		},
+		"batch": {{Type: server.FrameBatch, Batch: b}},
+	} {
+		srv := server.New(server.Config{Registry: obs.NewRegistry()})
+		sess, err := srv.Open(server.SessionConfig{Processes: 3, Watches: watches})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			if err := sess.Ingest(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sess.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, fr := range sess.Frames() {
+			got = append(got, fmt.Sprintf("%d:w%d@%d", fr.Idx, fr.Watch, fr.Event))
+		}
+		sess.Close("test")
+		if fmt.Sprint(got) != want {
+			t.Errorf("%s: verdict frames %v, want %s", name, got, want)
+		}
+	}
+}

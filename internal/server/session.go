@@ -58,7 +58,6 @@ type watchState struct {
 	ef     *online.EFWatch
 	ag     *online.AGWatch
 	st     *online.StableWatch
-	done   bool
 }
 
 // buildWatches parses and validates the watch list of a hello frame
@@ -146,6 +145,7 @@ type Session struct {
 	// Owned by the monitor loop.
 	mon        *online.Monitor
 	watches    []*watchState
+	pending    []int          // indices of the watches still awaiting a verdict, ascending
 	curSpan    *obs.Span      // the frame span being applied (verdict spans parent here)
 	registered bool           // watches registered (deferred until the first event)
 	msgIDs     map[int]int    // wire msg id → monitor msg id
@@ -548,6 +548,9 @@ func (s *Session) finish() {
 		// must not shadow the tombstone redirect to the new owner.
 		s.srv.retire(s.id, s.Welcome(), record, gb, s.enqSeq.Load())
 	}
+	// Leave the session table before the goodbye can reach the client: a
+	// client that has its goodbye must find the session closed.
+	s.srv.remove(s.id)
 	if att != nil {
 		select {
 		case att.ch <- gb:
@@ -559,7 +562,6 @@ func (s *Session) finish() {
 		s.span.Set("error", gb.Error)
 	}
 	s.span.End()
-	s.srv.remove(s.id)
 	close(s.done)
 }
 
@@ -692,7 +694,9 @@ func (s *Session) ensureWatches() {
 		return
 	}
 	s.registered = true
-	for _, w := range s.watches {
+	s.pending = make([]int, len(s.watches))
+	for i, w := range s.watches {
+		s.pending[i] = i
 		switch w.op {
 		case "EF":
 			w.ef = s.mon.WatchEF(w.locals...)
@@ -941,30 +945,29 @@ func (s *Session) publishRetained() {
 // checkWatches emits a verdict frame for every watch that latched since
 // the last check. Called after each applied event, so Event on the frame
 // is the exact determining prefix: the verdict did not hold after
-// Event-1 events and holds after Event.
+// Event-1 events and holds after Event. Only the pending watches are
+// visited, in index order, so watches latching on one event emit their
+// frames in watch order; a latched watch leaves the pending list.
 func (s *Session) checkWatches() {
 	s.publishRetained()
-	for i, w := range s.watches {
-		if w.done {
+	live := s.pending[:0]
+	for _, i := range s.pending {
+		w := s.watches[i]
+		if !(w.ef != nil && w.ef.Fired() || w.ag != nil && w.ag.Violated() || w.st != nil && w.st.Fired()) {
+			live = append(live, i)
 			continue
 		}
 		fr := ServerFrame{Type: FrameVerdict, Session: s.id, Watch: i, Op: w.op, Pred: w.pred, Event: s.seen}
 		switch {
-		case w.ef != nil && w.ef.Fired():
-			w.done = true
+		case w.ef != nil:
 			s.srv.met.efFired.Inc()
 			fr.Cut = w.ef.Cut()
-		case w.ag != nil && w.ag.Violated():
-			w.done = true
+		case w.ag != nil:
 			s.srv.met.agViolated.Inc()
-			cut, conjunct := w.ag.Counterexample()
-			fr.Cut, fr.Conjunct = cut, conjunct
-		case w.st != nil && w.st.Fired():
-			w.done = true
+			fr.Cut, fr.Conjunct = w.ag.Counterexample()
+		default:
 			s.srv.met.stableFired.Inc()
 			fr.Event = w.st.FiredAt()
-		default:
-			continue
 		}
 		verdictStart := time.Now()
 		vs := s.curSpan.StartChild("verdict")
@@ -973,6 +976,7 @@ func (s *Session) checkWatches() {
 		vs.End()
 		s.srv.met.stage(StageVerdict, time.Since(verdictStart))
 	}
+	s.pending = live
 }
 
 // emit records a latched frame (when record is set) and pushes it to the
